@@ -51,6 +51,7 @@ class Graph:
         "in_indices",
         "_num_edges",
         "_degree_cache",
+        "_text_size",
     )
 
     def __init__(
@@ -121,6 +122,7 @@ class Graph:
         # every superstep, so compute each once and hand out a frozen
         # (non-writeable) array instead of re-diffing indptr.
         self._degree_cache: dict[str, np.ndarray] = {}
+        self._text_size: int | None = None
 
     def _cached_degree(self, kind: str) -> np.ndarray:
         arr = self._degree_cache.get(kind)
@@ -207,9 +209,14 @@ class Graph:
 
         Counts digits of every vertex id occurrence plus separators —
         close enough to drive the paper's size-dependent ingestion and
-        HDFS block accounting without materializing the file.
+        HDFS block accounting without materializing the file.  Every
+        platform run asks for it, so it is computed once per graph.
         """
+        if self._text_size is None:
+            self._text_size = self._count_text_size()
+        return self._text_size
 
+    def _count_text_size(self) -> int:
         def digits(arr: np.ndarray) -> int:
             if len(arr) == 0:
                 return 0

@@ -108,8 +108,9 @@ def greedy_partition(graph: Graph, num_parts: int, *, slack: float = 1.05) -> Pa
     part holding most of its already-placed neighbors, weighted by a
     linear penalty on part fullness.  This is the stand-in for
     GraphLab's cut-minimizing placement; the ablation bench
-    (``bench_ablation_partitioning``) compares its cut fraction and
-    simulated network bytes against :func:`hash_partition`.
+    (``benchmarks/bench_ablation_design_choices.py::test_ablation_partitioning``)
+    compares its cut fraction and simulated network bytes against
+    :func:`hash_partition`.
 
     Parameters
     ----------
@@ -136,4 +137,4 @@ def greedy_partition(graph: Graph, num_parts: int, *, slack: float = 1.05) -> Pa
         graph.in_indptr, graph.in_indices,
         graph.directed, order, weight, capacity, num_parts,
     )
-    return Partition(graph, num_parts, assignment.astype(np.int32), policy="greedy")
+    return Partition(graph, num_parts, assignment, policy="greedy")

@@ -1,12 +1,20 @@
 """Pure-numpy superstep-kernel implementations (the reference tier).
 
-These are the exact computations the harness shipped with before the
-compiled tier existed; :mod:`repro.kernels.dispatch` selects them when
-numba is unavailable (or when ``GRAPHBENCH_KERNELS=numpy``).  The
-compiled tier in :mod:`repro.kernels._compiled` is property-tested
-bit-identical against every function here: integer kernels are exact by
-construction, and float kernels add the same float64 terms in the same
-element order numpy's C loops do.
+These are vectorized numpy computations, except :func:`ldg_assign`,
+whose streaming loop is inherently sequential and is therefore an exact
+scalar loop over python floats, O(degree) per vertex.  A part's LDG
+score is positive only if it holds a placed neighbor and is not yet
+full, so the winner is either the best-scoring neighbor part or, when
+every score is 0, the least-loaded, lowest-numbered part — the same
+choice the elementwise ``lexsort`` formulation (kept as the oracle in
+``tests/test_kernels.py``) makes, with the same IEEE operations.
+
+:mod:`repro.kernels.dispatch` selects this tier when numba is
+unavailable (or when ``GRAPHBENCH_KERNELS=numpy``).  The compiled tier
+in :mod:`repro.kernels._compiled` is property-tested bit-identical
+against every function here: integer kernels are exact by construction,
+and float kernels add the same float64 terms in the same element order
+numpy's C loops do.
 
 Signatures are normalized by the dispatch wrappers (weights arrive as
 float64, part counts as python ints), so implementations never coerce.
@@ -132,28 +140,46 @@ def ldg_assign(
     """Linear Deterministic Greedy streaming assignment (inner loop of
     :func:`repro.graph.partition.greedy_partition`).
 
-    Vertices stream in ``order``; each lands on the part holding most
-    of its already-placed neighbors, weighted by a linear penalty on
-    part fullness, ties broken toward the least-loaded then
+    Vertices stream in ``order``; each lands on the part maximizing
+    ``affinity * max(1 - load / capacity, 0)`` (affinity = placed
+    neighbors on the part), ties broken toward the least-loaded then
     lowest-numbered part.
+
+    Only the vertex's neighbor parts are scored (see the module
+    docstring for why that is exact); the all-zero-score fallback is a
+    C-level scan of the ``num_parts`` loads.
     """
     n = len(indptr) - 1
-    assignment = np.full(n, -1, dtype=np.int32)
-    loads = np.zeros(num_parts, dtype=np.float64)
-    part_range = np.arange(num_parts)
-    for v in order:
-        nbrs = indices[indptr[v] : indptr[v + 1]]
+    part = [-1] * n
+    loads = [0.0] * num_parts
+    out_ptr = indptr.tolist()
+    in_ptr = in_indptr.tolist()
+    w = weight.tolist()
+    for v in order.tolist():
+        # Adjacency is converted per vertex: a whole-array tolist()
+        # would hold ~36 bytes per edge for the duration of the loop.
+        nbrs = indices[out_ptr[v] : out_ptr[v + 1]].tolist()
         if directed:
-            nbrs = np.concatenate(
-                [nbrs, in_indices[in_indptr[v] : in_indptr[v + 1]]]
-            )
-        placed = assignment[nbrs]
-        placed = placed[placed >= 0]
-        affinity = np.bincount(placed, minlength=num_parts).astype(np.float64)
-        penalty = 1.0 - loads / capacity
-        score = affinity * np.maximum(penalty, 0.0)
-        # Tie-break toward the least-loaded part for balance.
-        best = part_range[np.lexsort((part_range, loads, -score))][0]
-        assignment[v] = best
-        loads[best] += weight[v]
-    return assignment
+            nbrs += in_indices[in_ptr[v] : in_ptr[v + 1]].tolist()
+        affinity: dict[int, int] = {}
+        for u in nbrs:
+            p = part[u]
+            if p >= 0:
+                affinity[p] = affinity.get(p, 0) + 1
+        best, best_score, best_load = -1, 0.0, 0.0
+        for p, count in affinity.items():
+            load = loads[p]
+            penalty = 1.0 - load / capacity
+            if penalty <= 0.0:
+                continue  # score 0: never beats a positive one
+            score = count * penalty
+            if score > best_score or (
+                score == best_score
+                and (load < best_load or (load == best_load and p < best))
+            ):
+                best, best_score, best_load = p, score, load
+        if best < 0:
+            best = loads.index(min(loads))
+        part[v] = best
+        loads[best] += w[v]
+    return np.array(part, dtype=np.int32)

@@ -318,5 +318,6 @@ def ldg_assign(
     return _call(
         "ldg_assign",
         indptr, indices, in_indptr, in_indices, bool(directed),
-        order, weight, float(capacity), int(num_parts),
+        order, np.asarray(weight, dtype=np.float64), float(capacity),
+        int(num_parts),
     )

@@ -204,6 +204,39 @@ class TestMisc:
         # estimate ignores the header; should be within 2x of reality
         assert 0.5 * actual <= est <= 2.0 * actual
 
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("with_edges", [False, True])
+    def test_text_size_memo(self, monkeypatch, directed, with_edges):
+        edges = np.array([[0, 1], [1, 2], [0, 2], [2, 3], [3, 40], [9, 99]])
+        g = from_edges(120, edges if with_edges else np.empty((0, 2)),
+                       directed=directed)
+
+        def digits(values):
+            return sum(len(str(int(x))) for x in values)
+
+        # The uncached formula: digits of every id occurrence, one
+        # separator per adjacency entry and per adjacency row, and a
+        # newline per vertex (directed graphs list in- and out-rows).
+        rows = 2 if directed else 1
+        expected = (
+            digits(range(g.num_vertices))
+            + digits(g.out_indices)
+            + (digits(g.in_indices) if directed else 0)
+            + rows * g.num_half_edges
+            + (rows + 1) * g.num_vertices
+        )
+        calls = []
+        log10 = np.log10
+        monkeypatch.setattr(
+            np, "log10", lambda *a, **k: calls.append(1) or log10(*a, **k)
+        )
+        assert g.text_size_bytes() == expected
+        computed = len(calls)
+        assert computed > 0
+        assert g.text_size_bytes() == expected
+        assert len(calls) == computed  # second call is memoized
+        assert not hasattr(g, "__dict__")
+
     def test_repr_contains_counts(self, tiny_directed):
         assert "|V|=6" in repr(tiny_directed)
 

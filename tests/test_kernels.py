@@ -46,9 +46,12 @@ TRAVERSAL_ALGORITHMS = ("bfs", "conn", "sssp")
 
 
 @st.composite
-def edge_lists(draw, max_vertices=24, max_edges=70):
+def edge_lists(draw, max_vertices=24, max_edges=70, min_edges=1,
+               max_isolated=0):
+    """``(n, edges, directed)``; up to ``max_isolated`` trailing vertices
+    get no edges."""
     n = draw(st.integers(min_value=2, max_value=max_vertices))
-    m = draw(st.integers(min_value=1, max_value=max_edges))
+    m = draw(st.integers(min_value=min_edges, max_value=max_edges))
     edges = draw(
         st.lists(
             st.tuples(
@@ -60,6 +63,7 @@ def edge_lists(draw, max_vertices=24, max_edges=70):
         )
     )
     directed = draw(st.booleans())
+    n += draw(st.integers(min_value=0, max_value=max_isolated))
     return n, np.array(edges, dtype=np.int64).reshape(-1, 2), directed
 
 
@@ -158,19 +162,94 @@ def test_scatter_min_bit_identical(n, m):
     assert _bytes_equal(ref, got)
 
 
-@given(spec=edge_lists(), num_parts=st.integers(min_value=1, max_value=5))
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_ldg_assign_bit_identical(spec, num_parts):
-    g = _graph(spec)
+def _ldg_args(g, num_parts, slack=1.05):
+    """The kernel arguments :func:`greedy_partition` builds for ``g``."""
     degree = np.asarray(g.degree(), dtype=np.int64)
-    weight = np.maximum(degree, 1)
-    capacity = 1.05 * float(weight.sum()) / num_parts
+    weight = np.maximum(degree, 1).astype(np.float64)
+    capacity = slack * float(weight.sum()) / num_parts
     order = np.argsort(-degree, kind="stable")
-    args = (
+    return (
         g.out_indptr, g.out_indices, g.in_indptr, g.in_indices,
         g.directed, order, weight, capacity, num_parts,
     )
+
+
+def _ldg_lexsort_oracle(
+    indptr, indices, in_indptr, in_indices, directed, order, weight,
+    capacity, num_parts,
+):
+    """The elementwise LDG formulation: score every part with numpy and
+    pick ``lexsort((part, load, -score))[0]``."""
+    n = len(indptr) - 1
+    assignment = np.full(n, -1, dtype=np.int32)
+    loads = np.zeros(num_parts, dtype=np.float64)
+    part_range = np.arange(num_parts)
+    for v in order:
+        nbrs = indices[indptr[v] : indptr[v + 1]]
+        if directed:
+            nbrs = np.concatenate(
+                [nbrs, in_indices[in_indptr[v] : in_indptr[v + 1]]]
+            )
+        placed = assignment[nbrs]
+        placed = placed[placed >= 0]
+        affinity = np.bincount(placed, minlength=num_parts).astype(np.float64)
+        penalty = 1.0 - loads / capacity
+        score = affinity * np.maximum(penalty, 0.0)
+        best = part_range[np.lexsort((part_range, loads, -score))][0]
+        assignment[v] = best
+        loads[best] += weight[v]
+    return assignment
+
+
+@given(
+    spec=edge_lists(max_vertices=30, max_edges=90, min_edges=0,
+                    max_isolated=6),
+    num_parts=st.integers(min_value=1, max_value=64),
+    slack=st.sampled_from([0.5, 1.05, 4.0]),
+)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_ldg_assign_matches_lexsort_oracle(spec, num_parts, slack):
+    # slack 0.5 saturates parts (penalty <= 0, score 0 despite placed
+    # neighbors) and sends vertices to the least-loaded fallback;
+    # num_parts above the vertex count leaves parts empty.
+    args = _ldg_args(_graph(spec), num_parts, slack)
+    assert _bytes_equal(_numpy.ldg_assign(*args), _ldg_lexsort_oracle(*args))
+
+
+@pytest.mark.parametrize("neighbor_order", [(0, 1, 2), (2, 1, 0)])
+def test_ldg_assign_score_tie_goes_to_least_loaded(neighbor_order):
+    # Vertices 0 and 1 open parts 0 and 1, vertex 2 follows its
+    # neighbor 1, so vertex 3 scores 1 * (1 - 4/8) on part 0 and
+    # 2 * (1 - 6/8) on part 1: an exact tie the lighter part 0 wins.
+    # Hand-built undirected CSR, so the row of vertex 3 meets the two
+    # tied parts in either order.
+    indptr = np.array([0, 1, 3, 5, 8], dtype=np.int64)
+    indices = np.array([3, 2, 3, 1, 3, *neighbor_order], dtype=np.int32)
+    args = (
+        indptr, indices, indptr, indices, False,
+        np.arange(4), np.array([4.0, 3.0, 3.0, 1.0]), 8.0, 2,
+    )
+    expected = np.array([0, 1, 1, 0], dtype=np.int32)
+    assert _bytes_equal(_ldg_lexsort_oracle(*args), expected)
+    assert _bytes_equal(_numpy.ldg_assign(*args), expected)
+    assert _bytes_equal(_compiled.ldg_assign(*args), expected)
+
+
+@pytest.mark.parametrize("dataset", ["amazon", "kgs"])
+@pytest.mark.parametrize("num_parts", [20, 50])
+def test_ldg_assign_matches_lexsort_oracle_on_datasets(dataset, num_parts):
+    from repro.datasets.registry import load_dataset
+
+    args = _ldg_args(load_dataset(dataset, scale="tiny"), num_parts)
+    assert _bytes_equal(_numpy.ldg_assign(*args), _ldg_lexsort_oracle(*args))
+
+
+@given(spec=edge_lists(), num_parts=st.integers(min_value=1, max_value=40))
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_ldg_assign_bit_identical(spec, num_parts):
+    args = _ldg_args(_graph(spec), num_parts)
     # The loop replicates the lexsort tie-break exactly (max score,
     # then min load, then min part index), so assignments are equal —
     # not merely equally balanced.
