@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._gather import gather_neighbors
 from repro.algorithms.base import (
     Algorithm,
     SuperstepProgram,
@@ -22,6 +21,7 @@ from repro.algorithms.base import (
     register_algorithm,
 )
 from repro.graph.graph import Graph
+from repro.kernels.dispatch import gather_neighbors
 
 __all__ = ["BFS", "BfsProgram", "bfs_levels"]
 

@@ -8,15 +8,19 @@ most 5 iterations with initial score 1.0 and attenuation 0.1
 (Section 3.2), noting that 95 % of vertices are clustered by then.
 
 The per-superstep label choice is fully vectorized: all (receiver,
-label, weight) triples are materialized edge-wise, lexsorted, and
-segment-reduced — no per-vertex Python loop.
+label, weight) triples are materialized edge-wise, sorted once on a
+combined ``receiver * radix + label`` key, and segment-reduced — no
+per-vertex Python loop.  The sort is stable and the arcs are kept in
+receiver order, so each (receiver, label) group sums its weights in arc
+order, exactly as a lexsort would; the winner is the first group at its
+receiver's maximum, which is the smallest label because labels ascend
+within a receiver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._gather import gather_with_sources
 from repro.algorithms.base import (
     Algorithm,
     SuperstepProgram,
@@ -24,6 +28,7 @@ from repro.algorithms.base import (
     register_algorithm,
 )
 from repro.graph.graph import Graph
+from repro.kernels.dispatch import gather_with_sources
 
 __all__ = ["CD", "CdProgram", "community_detection_labels"]
 
@@ -43,28 +48,30 @@ def _segment_argmax_label(
     best_weight = np.zeros(num_vertices, dtype=np.float64)
     if len(receivers) == 0:
         return best_label, best_weight
-    # Aggregate weight per (receiver, label) pair.
-    order = np.lexsort((labels, receivers))
-    r = receivers[order]
-    l = labels[order]
-    w = weights[order]
+    # One stable sort groups (receiver, label) pairs with labels
+    # ascending inside each receiver and arcs in arrival order inside
+    # each pair.  The radix is the label range, not ``num_vertices``:
+    # labels are arbitrary non-negative ids.
+    radix = int(labels.max()) + 1
+    key = receivers.astype(np.int64) * radix + labels
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     # Segment boundaries where (receiver, label) changes.
-    boundary = np.empty(len(r), dtype=bool)
+    boundary = np.empty(len(key), dtype=bool)
     boundary[0] = True
-    boundary[1:] = (r[1:] != r[:-1]) | (l[1:] != l[:-1])
+    boundary[1:] = key[1:] != key[:-1]
     seg_ids = np.cumsum(boundary) - 1
-    seg_weight = np.zeros(seg_ids[-1] + 1, dtype=np.float64)
-    np.add.at(seg_weight, seg_ids, w)
-    seg_recv = r[boundary]
-    seg_label = l[boundary]
-    # Pick max weight per receiver; deterministic tie-break on the
-    # smaller label id (sort by weight then label via lexsort keys).
-    order2 = np.lexsort((seg_label, -seg_weight, seg_recv))
-    sr = seg_recv[order2]
-    first = np.empty(len(sr), dtype=bool)
-    first[0] = True
-    first[1:] = sr[1:] != sr[:-1]
-    winners = order2[first]
+    # bincount adds in index order, like np.add.at: the same float sums.
+    seg_weight = np.bincount(seg_ids, weights=weights[order])
+    seg_recv, seg_label = np.divmod(key[boundary], radix)
+    # Max weight per receiver; the first segment at the max carries the
+    # smallest label (deterministic tie-break).
+    recv_start = np.flatnonzero(np.r_[True, seg_recv[1:] != seg_recv[:-1]])
+    recv_max = np.maximum.reduceat(seg_weight, recv_start)
+    at_max = np.flatnonzero(
+        seg_weight == np.repeat(recv_max, np.diff(np.r_[recv_start, len(seg_recv)]))
+    )
+    winners = at_max[np.r_[True, seg_recv[at_max[1:]] != seg_recv[at_max[:-1]]]]
     best_label[seg_recv[winners]] = seg_label[winners]
     best_weight[seg_recv[winners]] = seg_weight[winners]
     return best_label, best_weight
@@ -107,7 +114,11 @@ class CdProgram(SuperstepProgram):
                 src2, dst2 = gather_with_sources(g.in_indptr, g.in_indices, all_v)
                 src = np.concatenate([src, src2])
                 dst = np.concatenate([dst, dst2])
-            self._triples = (src, dst)
+            # Receiver order, stable: every per-step sort then sees
+            # nearly sorted keys, and each (receiver, label) group keeps
+            # its arc order.
+            order = np.argsort(dst, kind="stable")
+            self._triples = (src[order], dst[order])
         return self._triples
 
     def step(self) -> SuperstepReport:

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._gather import gather_with_sources
-from repro.kernels.dispatch import scatter_min
 from repro.algorithms.base import (
     Algorithm,
     SuperstepProgram,
@@ -25,6 +23,7 @@ from repro.algorithms.base import (
     register_algorithm,
 )
 from repro.graph.graph import Graph
+from repro.kernels.dispatch import gather_with_sources, scatter_min
 
 __all__ = ["CONN", "ConnProgram", "connected_components_labels"]
 

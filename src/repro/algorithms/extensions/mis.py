@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._gather import gather_with_sources
 from repro.algorithms.base import (
     Algorithm,
     SuperstepProgram,
@@ -20,6 +19,7 @@ from repro.algorithms.base import (
     register_algorithm,
 )
 from repro.graph.graph import Graph
+from repro.kernels.dispatch import gather_with_sources
 
 __all__ = ["MIS", "MisProgram", "maximal_independent_set"]
 

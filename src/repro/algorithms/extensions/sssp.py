@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._gather import gather_with_sources
-from repro.kernels.dispatch import scatter_min
 from repro.algorithms.base import (
     Algorithm,
     SuperstepProgram,
@@ -21,6 +19,7 @@ from repro.algorithms.base import (
     register_algorithm,
 )
 from repro.graph.graph import Graph
+from repro.kernels.dispatch import gather_with_sources, scatter_min
 
 __all__ = ["SSSP", "SsspProgram", "shortest_path_lengths", "edge_weights"]
 

@@ -1,9 +1,12 @@
 """Triangle counting (general-statistics / triangulation class).
 
-Forward counting on the degree-ordered orientation: every edge is
-directed from the lower-rank endpoint to the higher-rank one, and each
-vertex intersects its forward neighborhood with its forward neighbors'
-— O(E^{3/2}) total work, the standard exact method.
+Forward counting on the degree-ordered orientation
+(:func:`repro.graph.properties.forward_adjacency`): every edge is
+directed from the lower-rank endpoint to the higher-rank one, so each
+triangle closes exactly once and the count is ``sum((L @ L) ∘ L)``
+(:func:`repro.graph.properties.forward_triangle_count`) — O(E^{3/2})
+work, the standard exact method.  Being an exact integer, it equals the
+unoriented ``sum((A @ A) ∘ A) / 6``, which counts each triangle six times.
 
 The superstep structure is STATS-like (two supersteps, neighbor-list
 exchange) but ships only *forward* lists, so message volume is roughly
@@ -21,17 +24,14 @@ from repro.algorithms.base import (
     register_algorithm,
 )
 from repro.graph.graph import Graph
+from repro.graph.properties import forward_adjacency, forward_triangle_count
 
 __all__ = ["TRIANGLES", "TriangleProgram", "triangle_count"]
 
 
 def triangle_count(graph: Graph) -> int:
     """Reference exact global triangle count (undirected skeleton)."""
-    und = graph.as_undirected() if graph.directed else graph
-    adj = und.to_scipy("out").astype(np.int64)
-    # trace(A^3) / 6 via the elementwise trick used for LCC.
-    closed = (adj @ adj).multiply(adj)
-    return int(closed.sum() // 6)
+    return forward_triangle_count(forward_adjacency(graph))
 
 
 class TriangleProgram(SuperstepProgram):
@@ -40,18 +40,10 @@ class TriangleProgram(SuperstepProgram):
     def __init__(self, graph: Graph) -> None:
         super().__init__(graph)
         self._count: int | None = None
-        und = graph.as_undirected() if graph.directed else graph
-        self._und = und
-        deg = np.asarray(und.out_degree(), dtype=np.int64)
-        # forward degree: neighbors with higher (degree, id) rank
-        n = und.num_vertices
-        rank = np.lexsort((np.arange(n), deg))
-        order = np.empty(n, dtype=np.int64)
-        order[rank] = np.arange(n)
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(und.out_indptr))
-        dst = und.out_indices.astype(np.int64)
-        forward = order[src] < order[dst]
-        self._fwd_deg = np.bincount(src[forward], minlength=n).astype(np.int64)
+        self._fwd = forward_adjacency(graph)
+        # forward degree: neighbors with higher (degree, id) rank (int64
+        # even where scipy narrowed the index arrays to int32)
+        self._fwd_deg = np.diff(self._fwd.indptr).astype(np.int64)
 
     def step(self) -> SuperstepReport:
         g = self.graph
@@ -66,7 +58,7 @@ class TriangleProgram(SuperstepProgram):
                 quadratic_in_degree=True,
                 halted=False,
             )
-        self._count = triangle_count(self._und)
+        self._count = forward_triangle_count(self._fwd)
         return SuperstepReport(
             active=None,
             compute_edges=fwd * fwd,

@@ -115,7 +115,7 @@ def validate_bfs_tree(
 
 def _bfs_parent_tree(graph: Graph, source: int) -> np.ndarray:
     """BFS parent array (-1 = unreached), vectorized frontier sweep."""
-    from repro.algorithms._gather import gather_with_sources
+    from repro.kernels.dispatch import gather_with_sources
 
     n = graph.num_vertices
     parent = np.full(n, -1, dtype=np.int64)

@@ -153,15 +153,17 @@ def validate_equivalence(
             False, "equivalence",
             f"shape mismatch: reference {ref.shape}, candidate {cand.shape}",
         )
-    # Forward map must be a function, backward map must be too — i.e.
-    # the (ref, cand) pairs must form a bijection between label sets.
-    pairs = np.unique(np.column_stack([ref, cand]), axis=0)
-    ref_ok = len(np.unique(pairs[:, 0])) == len(pairs)
-    cand_ok = len(np.unique(pairs[:, 1])) == len(pairs)
-    if ref_ok and cand_ok:
+    # The labels are a bijection exactly when the distinct (ref, cand)
+    # pairs are as many as the distinct labels on either side.
+    ref_labels, ref_ids = np.unique(ref, return_inverse=True)
+    cand_labels, cand_ids = np.unique(cand, return_inverse=True)
+    pairs = len(np.unique(
+        ref_ids.astype(np.int64) * len(cand_labels) + cand_ids
+    ))
+    if pairs == len(ref_labels) == len(cand_labels):
         return ValidationVerdict(
             True, "equivalence",
-            f"partitions coincide ({len(pairs)} classes)",
+            f"partitions coincide ({pairs} classes)",
         )
     return ValidationVerdict(
         False, "equivalence",

@@ -19,6 +19,8 @@ __all__ = [
     "GraphSummary",
     "link_density",
     "average_degree",
+    "forward_adjacency",
+    "forward_triangle_count",
     "local_clustering_coefficients",
     "mean_local_clustering",
     "connected_component_labels",
@@ -51,40 +53,101 @@ def average_degree(graph: Graph) -> float:
     )
 
 
+def forward_adjacency(graph: Graph):
+    """Degree-ordered orientation of the undirected skeleton.
+
+    Ranks vertices by ``(degree, id)`` and keeps each skeleton half-edge
+    only in the direction from the lower rank to the higher one, so every
+    edge appears exactly once and no vertex has more than
+    ``O(sqrt(E))`` forward neighbours (the forward method of the GAP
+    benchmark suite).  Returned as an int64 ``csr_matrix`` built from the
+    raw CSR arrays like :meth:`Graph.to_scipy`: duplicate half-edges of a
+    graph built with ``dedupe=False`` stay separate entries, which every
+    sparse product sums as edge multiplicities.
+    """
+    from scipy.sparse import csr_matrix
+
+    und = graph.as_undirected() if graph.directed else graph
+    n = und.num_vertices
+    deg = np.diff(und.out_indptr)
+    rank = np.empty(n, dtype=np.int32)  # vertex ids are int32
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    forward = np.repeat(rank, deg) < rank[und.out_indices]
+    # Forward half-edges per row; reduceat over the non-empty rows only,
+    # whose start offsets are strictly increasing.
+    nonempty = deg > 0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:][nonempty] = np.add.reduceat(
+        forward, und.out_indptr[:-1][nonempty], dtype=np.int64
+    )
+    np.cumsum(indptr, out=indptr)
+    indices = und.out_indices[forward]
+    data = np.ones(len(indices), dtype=np.int64)
+    return csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+#: row blocks of a masked sparse product are cut so each block's product
+#: has at most about this many entries (~25 MB of int64 data + indices)
+_ROW_BLOCK_WORK = 1 << 21
+
+
+def _masked_product_sums(left, right, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of ``(left @ right) ∘ mask``.
+
+    Evaluated in row blocks of ``left`` and ``mask``; a row's work is the
+    summed row lengths of ``right`` it touches, so a hub row cannot
+    materialize an oversized intermediate.
+    """
+    n = left.shape[0]
+    row_sums = np.zeros(n, dtype=np.int64)
+    col_sums = np.zeros(mask.shape[1], dtype=np.int64)
+    work = np.cumsum(left @ np.diff(right.indptr))
+    if n == 0 or work[-1] == 0:
+        return row_sums, col_sums
+    cuts = np.searchsorted(
+        work, np.arange(_ROW_BLOCK_WORK, work[-1], _ROW_BLOCK_WORK), side="right"
+    ).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        if hi <= lo:
+            continue
+        block = (left[lo:hi] @ right).multiply(mask[lo:hi])
+        row_sums[lo:hi] = np.asarray(block.sum(axis=1)).ravel()
+        col_sums += np.asarray(block.sum(axis=0)).ravel()
+    return row_sums, col_sums
+
+
+def forward_triangle_count(fwd) -> int:
+    """Triangles closed by a :func:`forward_adjacency` orientation.
+
+    ``sum((L @ L) ∘ L)`` in row blocks: a triangle ``a < b < c`` (by
+    rank) closes once, as the path ``a -> b -> c`` masked by ``a -> c``.
+    """
+    closed_at_lowest, _ = _masked_product_sums(fwd, fwd, fwd)
+    return int(closed_at_lowest.sum())
+
+
 def local_clustering_coefficients(graph: Graph) -> np.ndarray:
     """Per-vertex local clustering coefficient (LCC).
 
     Computed on the undirected skeleton: ``lcc(v) = 2 * tri(v) /
-    (deg(v) * (deg(v) - 1))``, 0 for degree < 2.  Uses the sparse
-    matrix identity ``tri = diag(A @ A ∘ A) / 2`` evaluated row-wise,
-    so the whole sweep is a single sparse matmul.
+    (deg(v) * (deg(v) - 1))``, 0 for degree < 2.  With ``L`` the
+    :func:`forward_adjacency` orientation, each triangle ``a < b < c``
+    (by rank) is closed once in ``C = (L @ L) ∘ L`` (at entry ``(a,
+    c)``) and once in ``(Lᵀ @ L) ∘ L`` (at entry ``(b, c)``), so
+    ``tri = rowsum(C) + colsum(C) + rowsum((Lᵀ @ L) ∘ L)`` credits each
+    triangle to its lowest, highest and middle vertex.  Every sum is an
+    exact int64 count equal to the row sums of ``(A @ A) ∘ A`` halved,
+    so the floats divided below are the same as the unoriented
+    product's, bit for bit, at a fraction of its ``O(Σ deg²)`` work.
     """
     und = graph.as_undirected() if graph.directed else graph
     n = und.num_vertices
     if n == 0:
         return np.zeros(0, dtype=np.float64)
-    adj = und.to_scipy("out").astype(np.int64)
-    # Row sums of (A @ A) ∘ A count, for each v, ordered 2-paths v->x->w
-    # with (v, w) an edge: exactly 2 * triangles(v).  Evaluated in row
-    # blocks so hub-heavy graphs (dense A @ A rows) stay within memory.
-    two_tri = np.empty(n, dtype=np.int64)
-    # Expected intermediate nnz for row v is sum of its neighbors'
-    # degrees; cut row blocks so each stays under ~2^25 entries.
-    deg_vec = np.diff(adj.indptr).astype(np.int64)
-    row_work = np.asarray(adj @ deg_vec, dtype=np.int64).ravel()
-    budget = 1 << 25
-    cuts = np.searchsorted(np.cumsum(row_work), np.arange(budget, row_work.sum() + budget, budget))
-    lo = 0
-    for hi in [*cuts.tolist(), n]:
-        hi = min(max(hi, lo + 1), n)
-        if hi <= lo:
-            continue
-        rows = adj[lo:hi]
-        closed = (rows @ adj).multiply(rows)
-        two_tri[lo:hi] = np.asarray(closed.sum(axis=1)).ravel()
-        lo = hi
-        if lo >= n:
-            break
+    fwd = forward_adjacency(und)
+    low, high = _masked_product_sums(fwd, fwd, fwd)
+    middle, _ = _masked_product_sums(fwd.T.tocsr(), fwd, fwd)
+    two_tri = 2 * (low + high + middle)
     deg = np.asarray(und.out_degree(), dtype=np.float64)
     denom = deg * (deg - 1.0)
     lcc = np.zeros(n, dtype=np.float64)
