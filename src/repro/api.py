@@ -19,11 +19,12 @@ This module is that contract:
   failure class), built from a :class:`~repro.core.results.RunRecord`.
 * :class:`JobStatus` — the lifecycle view of a submitted request
   (``queued -> running -> done | failed``).
-* :class:`ApiService` — the in-process reference implementation of the
-  ``submit()/result()`` surface.  The HTTP server in
-  :mod:`repro.serve` implements the *same* contract asynchronously;
-  the CLI subcommands and the server are both thin clients of the
-  types defined here.
+* :class:`ApiService` — the one implementation of the
+  ``submit()/result()`` surface: runner views, batched predicts and
+  the job table.  The HTTP server in :mod:`repro.serve` holds one
+  service and adds only transport, admission, coalescing and
+  micro-batch windowing.  ``graphbench run`` builds its cell from a
+  :class:`PredictRequest` too, but calls ``Runner.run`` directly.
 
 Stability rules (``API_VERSION`` = 1):
 
@@ -39,6 +40,7 @@ Stability rules (``API_VERSION`` = 1):
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -584,6 +586,9 @@ class PredictResponse:
 #: the closed job-state vocabulary
 JOB_STATES = ("queued", "running", "done", "failed")
 
+#: job-table bound; only finished jobs are ever evicted
+MAX_JOBS = 1024
+
 
 @dataclasses.dataclass(frozen=True)
 class JobStatus:
@@ -679,69 +684,107 @@ def sweep_result_dict(experiment: "ExperimentResult") -> dict:
 
 
 class ApiService:
-    """The in-process reference implementation of the
-    ``submit()/result()`` surface.
+    """The one implementation of the ``submit()/result()`` surface, and
+    the single owner of every decision behind an answer: the runner
+    view a request gets, how a batch of predicts executes, and the job
+    table.
 
-    One runner (with its trace cache) serves every request; jobs
-    complete *synchronously* inside :meth:`submit` — this is the
-    simplest implementation that honours the contract, and it is what
-    the CLI uses.  :class:`repro.serve.app.GraphbenchServer` implements
-    the same surface asynchronously with admission control, coalescing
-    and an answer cache.
+    One runner (with its trace cache) serves every request.  Library
+    callers get jobs that complete *synchronously* inside
+    :meth:`submit`.  :class:`repro.serve.app.GraphbenchServer` holds one
+    service and adds only HTTP, admission, coalescing and the
+    micro-batch window, so a served answer comes from this code rather
+    than a copy of it.
     """
 
     def __init__(self, runner: "Runner | None" = None) -> None:
         from repro.core.runner import Runner
 
         self.runner = runner if runner is not None else Runner()
-        self._jobs: dict[str, JobStatus] = {}
+        self._jobs: collections.OrderedDict[str, JobStatus] = (
+            collections.OrderedDict()
+        )
         self._next_id = itertools.count(1)
 
-    # -- synchronous convenience -------------------------------------------
+    # -- answers -----------------------------------------------------------
     def predict(self, request: PredictRequest) -> PredictResponse:
-        """Answer one cell now (scale mismatches rebuild the runner's
-        dataset view through a per-request runner)."""
-        runner = self._runner_for(request.scale, request.repetitions)
-        return PredictResponse.from_record(runner.run(request.to_run_spec()))
+        """Answer one cell now."""
+        [outcome] = self.predict_batch([request])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def predict_batch(
+        self, requests: _t.Sequence[PredictRequest], workers: int = 1
+    ) -> list[PredictResponse | Exception]:
+        """Answer many cells at once: one outcome per request, in order
+        — its response, or the exception its computation raised.
+
+        Cells sharing (scale, repetitions) run as one spec list through
+        :func:`~repro.core.sweep.run_specs` on ``workers`` processes.
+        If that list raises, its cells run again one at a time, so a
+        cell that raises fails only its own slot; cells are independent
+        and seeded per cell, so the others still get exactly the answer
+        ``Runner.run`` gives them alone.
+        """
+        from repro.core.sweep import run_specs
+
+        groups: dict[tuple[float, int], list[int]] = {}
+        for index, request in enumerate(requests):
+            groups.setdefault(
+                (request.scale, request.repetitions), []
+            ).append(index)
+        outcomes: list = [None] * len(requests)
+        for (scale, repetitions), indices in groups.items():
+            runner = self._runner_for(scale, repetitions)
+            specs = [requests[i].to_run_spec() for i in indices]
+            try:
+                records = list(
+                    run_specs(runner, "predict-batch", specs, workers=workers)
+                )
+            except Exception:  # noqa: BLE001 - isolated per cell below
+                records = [_run_alone(runner, spec) for spec in specs]
+            for index, record in zip(indices, records):
+                outcomes[index] = (
+                    record if isinstance(record, Exception)
+                    else PredictResponse.from_record(record)
+                )
+        return outcomes
 
     def sweep(self, request: SweepRequest) -> "ExperimentResult":
         """Run one grid now, honouring the request's worker count."""
-        return self._runner_for(request.scale).run_grid(
-            request.to_sweep_spec()
-        )
+        return self._runner_for(
+            request.scale, self.runner.repetitions
+        ).run_grid(request.to_sweep_spec())
 
-    def _runner_for(
-        self, scale: float, repetitions: int | None = None
-    ) -> "Runner":
-        """A runner view for one request — same seed, jitter and shared
-        trace cache, mirroring ``RequestBatcher._runner_for`` so the
-        reference answer and the served answer stay byte-identical."""
-        reps = (
-            int(self.runner.repetitions)
-            if repetitions is None
-            else int(repetitions)
-        )
+    def execute(
+        self, request: PredictRequest | SweepRequest
+    ) -> dict | Exception:
+        """A request's job payload, or the exception that failed it.
+        Writes no job state, so it may run on any thread."""
+        try:
+            if isinstance(request, PredictRequest):
+                return self.predict(request).to_dict()
+            return sweep_result_dict(self.sweep(request))
+        except Exception as exc:  # noqa: BLE001 - contract: failed state
+            return exc
+
+    def _runner_for(self, scale: float, repetitions: int) -> "Runner":
+        """The runner view for one request: same seed, jitter and shared
+        trace cache; the request's scale and repetitions."""
         if (
             float(scale) == float(self.runner.scale)
-            and reps == int(self.runner.repetitions)
+            and int(repetitions) == int(self.runner.repetitions)
         ):
             return self.runner
-        from repro.core.runner import Runner
-
-        return Runner(
-            repetitions=reps,
-            jitter=self.runner.jitter,
-            seed=self.runner.seed,
-            scale=float(scale),
-            use_trace_cache=self.runner.use_trace_cache,
-            trace_cache=self.runner.trace_cache,
+        return dataclasses.replace(
+            self.runner, scale=float(scale), repetitions=int(repetitions)
         )
 
-    # -- the job surface ---------------------------------------------------
+    # -- the job table -----------------------------------------------------
     def submit(self, request: PredictRequest | SweepRequest) -> str:
-        """Accept a request; returns its job id.  The reference
-        implementation completes the job before returning."""
-        job_id = f"job-{next(self._next_id)}"
+        """Accept a request; returns its job id.  The job completes
+        before this returns."""
         if isinstance(request, PredictRequest):
             kind = "predict"
         elif isinstance(request, SweepRequest):
@@ -751,22 +794,56 @@ class ApiService:
                 f"submit() takes a PredictRequest or SweepRequest, "
                 f"got {type(request).__name__}"
             )
-        try:
-            if kind == "predict":
-                payload = self.predict(request).to_dict()
-            else:
-                payload = sweep_result_dict(self.sweep(request))
-        except Exception as exc:  # noqa: BLE001 - contract: failed state
-            self._jobs[job_id] = JobStatus(
-                job_id=job_id, kind=kind, state="failed", error=str(exc)
-            )
-            return job_id
-        self._jobs[job_id] = JobStatus(
-            job_id=job_id, kind=kind, state="done", result=payload
-        )
+        job_id = self.open_job(kind).job_id
+        self.start_job(job_id)
+        self.finish_job(job_id, self.execute(request))
         return job_id
 
     def result(self, job_id: str) -> JobStatus:
         """The status of a submitted job; raises :class:`KeyError` for
-        an unknown id."""
+        an unknown (or evicted) id."""
         return self._jobs[job_id]
+
+    def open_job(self, kind: str) -> JobStatus:
+        """Register a new job in the ``queued`` state."""
+        return self._store(
+            JobStatus(f"job-{next(self._next_id)}", kind, "queued")
+        )
+
+    def start_job(self, job_id: str) -> None:
+        """``queued -> running``."""
+        self._store(JobStatus(job_id, self._jobs[job_id].kind, "running"))
+
+    def finish_job(self, job_id: str, outcome: dict | Exception) -> JobStatus:
+        """``-> done`` with a payload, or ``-> failed`` with the
+        exception's message."""
+        kind = self._jobs[job_id].kind
+        if isinstance(outcome, Exception):
+            return self._store(
+                JobStatus(job_id, kind, "failed", error=str(outcome))
+            )
+        return self._store(JobStatus(job_id, kind, "done", result=outcome))
+
+    def _store(self, status: JobStatus) -> JobStatus:
+        """Write one job as most recent; past :data:`MAX_JOBS`, evict
+        the oldest finished jobs — a queued or running job stays until
+        it finishes, however old."""
+        self._jobs[status.job_id] = status
+        self._jobs.move_to_end(status.job_id)
+        while len(self._jobs) > MAX_JOBS:
+            stale = next(
+                (job_id for job_id, job in self._jobs.items()
+                 if job.state in ("done", "failed")),
+                None,
+            )
+            if stale is None:
+                break
+            del self._jobs[stale]
+        return status
+
+
+def _run_alone(runner: "Runner", spec: RunSpec) -> "RunRecord | Exception":
+    try:
+        return runner.run(spec)
+    except Exception as exc:  # noqa: BLE001 - the cell's own outcome
+        return exc

@@ -22,13 +22,6 @@ concrete reporting format behind one front door:
 * :func:`export_series_dat` — figure series as whitespace ``.dat``
   files directly plottable with gnuplot, matching the paper's figure
   style.
-
-The pre-consolidation JSONL entry points —
-``export_telemetry_jsonl``, ``export_sweep_telemetry_jsonl``,
-``export_fault_accounting_jsonl`` — survive as thin delegating
-aliases that emit :class:`DeprecationWarning`; tier-1 promotes those
-warnings to errors (pyproject ``filterwarnings``), so in-tree callers
-cannot regress onto them.
 """
 
 from __future__ import annotations
@@ -36,8 +29,6 @@ from __future__ import annotations
 import json
 import os
 import typing as _t
-import warnings
-
 
 from repro.cluster.monitoring import ResourceTrace
 from repro.core import telemetry
@@ -53,9 +44,6 @@ __all__ = [
     "export_chaos_json",
     "export_trace_csv",
     "export_series_dat",
-    "export_telemetry_jsonl",
-    "export_sweep_telemetry_jsonl",
-    "export_fault_accounting_jsonl",
 ]
 
 
@@ -355,36 +343,3 @@ def export(
             f"got {type(obj).__name__}"
         )
     return writer(obj, path, **options)
-
-
-# -- deprecated pre-consolidation entry points -------------------------------
-
-
-def _deprecated_alias(old_name: str, kind: str) -> _t.Callable[..., _t.Any]:
-    def shim(obj: _t.Any, path: str | os.PathLike, **options: _t.Any):
-        warnings.warn(
-            f"{old_name} is deprecated; use "
-            f"export(obj, path=..., kind={kind!r}) "
-            f"(or omit kind for auto-detection)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return export(obj, path=path, kind=kind, **options)
-
-    shim.__name__ = old_name
-    shim.__qualname__ = old_name
-    shim.__doc__ = (
-        f"Deprecated alias for ``export(obj, path=..., kind={kind!r})``."
-    )
-    return shim
-
-
-export_telemetry_jsonl = _deprecated_alias(
-    "export_telemetry_jsonl", "telemetry"
-)
-export_sweep_telemetry_jsonl = _deprecated_alias(
-    "export_sweep_telemetry_jsonl", "sweep-telemetry"
-)
-export_fault_accounting_jsonl = _deprecated_alias(
-    "export_fault_accounting_jsonl", "faults"
-)

@@ -30,11 +30,6 @@ Grids (:meth:`Runner.run_grid`) accept a
 ``workers > 1`` the independent cells are dispatched to worker
 processes by :mod:`repro.core.sweep` and the merged result is
 bit-identical to the serial path.
-
-The historical loose-kwargs entry points — ``run_cell(platform,
-algorithm, dataset, ...)`` and ``run_grid(name, platforms=...,
-algorithms=..., datasets=...)`` — survive as thin shims that build a
-spec, emit a :class:`DeprecationWarning`, and delegate.
 """
 
 from __future__ import annotations
@@ -44,19 +39,16 @@ import gc
 import resource
 import time
 import typing as _t
-import warnings
 
 import numpy as np
 
 from repro import obs
-from repro.cluster.spec import ClusterSpec, das4_cluster
+from repro.cluster.spec import das4_cluster
 from repro.core.results import ExperimentResult, RunRecord, RunStatus
 from repro.core.spec import RunSpec, SweepSpec, derive_cell_seed
 from repro.core.trace_cache import TraceCache
 from repro.datasets.registry import load_dataset
-from repro.des.faults import FaultPlan
-from repro.graph.graph import Graph
-from repro.platforms.base import JobResult, JobTimeout, Platform, PlatformCrash
+from repro.platforms.base import JobResult, JobTimeout, PlatformCrash
 from repro.platforms.registry import get_platform
 
 __all__ = ["Runner"]
@@ -269,29 +261,6 @@ class Runner:
         """The jitter seed used for ``spec`` (order-independent)."""
         return derive_cell_seed(self.seed, spec, scale=self.scale)
 
-    def run_cell(
-        self,
-        platform: str | Platform,
-        algorithm: str,
-        dataset: str | Graph,
-        cluster: ClusterSpec | None = None,
-        fault_plan: FaultPlan | None = None,
-        **params: object,
-    ) -> RunRecord:
-        """Deprecated kwargs shim — build a :class:`RunSpec` and call
-        :meth:`run` instead."""
-        warnings.warn(
-            "Runner.run_cell(platform, algorithm, dataset, ...) is "
-            "deprecated; build a RunSpec and call Runner.run(spec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(
-            RunSpec.make(
-                platform, algorithm, dataset, cluster, fault_plan, **params
-            )
-        )
-
     # -- observability ---------------------------------------------------------
     def cache_stats(self) -> dict[str, _t.Any]:
         """Trace-cache counters merged with the shared step-cost memo
@@ -304,15 +273,7 @@ class Runner:
 
     # -- grids ----------------------------------------------------------------
     def run_grid(
-        self,
-        sweep: SweepSpec | str,
-        *,
-        platforms: _t.Sequence[str] | None = None,
-        algorithms: _t.Sequence[str] | None = None,
-        datasets: _t.Sequence[str] | None = None,
-        cluster: ClusterSpec | None = None,
-        fault_plan: FaultPlan | None = None,
-        workers: int | None = None,
+        self, sweep: SweepSpec, *, workers: int | None = None
     ) -> ExperimentResult:
         """Run a full cartesian grid of cells into one result set.
 
@@ -320,37 +281,8 @@ class Runner:
         overrides the sweep's own worker count (1 = serial in-process;
         N > 1 dispatches cells to N worker processes via
         :mod:`repro.core.sweep` and returns a result bit-identical to
-        the serial path).  The legacy ``run_grid(name, platforms=...,
-        algorithms=..., datasets=...)`` form still works but is
-        deprecated.
+        the serial path).
         """
-        if isinstance(sweep, str):
-            warnings.warn(
-                "Runner.run_grid(name, platforms=..., algorithms=..., "
-                "datasets=...) is deprecated; pass a SweepSpec",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if platforms is None or algorithms is None or datasets is None:
-                raise TypeError(
-                    "legacy run_grid(name, ...) needs platforms=, "
-                    "algorithms= and datasets="
-                )
-            sweep = SweepSpec.make(
-                sweep,
-                platforms=platforms,
-                algorithms=algorithms,
-                datasets=datasets,
-                cluster=cluster,
-                fault_plan=fault_plan,
-            )
-        elif any(
-            v is not None
-            for v in (platforms, algorithms, datasets, cluster, fault_plan)
-        ):
-            raise TypeError(
-                "pass the grid inside the SweepSpec, not as keywords"
-            )
         num_workers = sweep.workers if workers is None else int(workers)
         if num_workers > 1:
             from repro.core.sweep import run_sweep

@@ -3,12 +3,14 @@
 The production framing of the paper's decision-support deliverable
 ("which platform, which cluster, at what cost, for this workload?" —
 §V–VI): an asyncio HTTP server speaking the frozen :mod:`repro.api`
-contract, with request coalescing and micro-batching
-(:mod:`~repro.serve.batching`), queue-depth admission control
-(:mod:`~repro.serve.admission`), and a warm answer cache
-(:mod:`~repro.serve.cache`) in front of the shared runner + trace
-cache.  ``graphbench serve`` is the CLI entry point;
-``benchmarks/bench_serve_load.py`` is the load harness.
+contract.  Every answer and every job comes from one
+:class:`~repro.api.ApiService`; this package only adds what a server
+needs on top of it — HTTP and background sweep jobs
+(:mod:`~repro.serve.app`), queue-depth admission control
+(:mod:`~repro.serve.admission`), request coalescing and micro-batching
+(:mod:`~repro.serve.batching`), and a warm answer cache
+(:mod:`~repro.serve.cache`).  ``graphbench serve`` is the CLI entry
+point; ``benchmarks/bench_serve_load.py`` is the load harness.
 """
 
 from repro.serve.admission import AdmissionController

@@ -17,7 +17,6 @@ in the answer cache, so a timed-out client's retry is a warm hit.
 
 from __future__ import annotations
 
-import contextlib
 import typing as _t
 
 from repro import obs
@@ -81,15 +80,6 @@ class AdmissionController:
             self._service_ewma = (
                 0.8 * self._service_ewma + 0.2 * float(service_seconds)
             )
-
-    @contextlib.contextmanager
-    def slot(self) -> _t.Iterator[None]:
-        """``with admission.slot():`` around an admitted request (the
-        caller must have checked :meth:`try_admit` first)."""
-        try:
-            yield
-        finally:
-            self.release()
 
     # -- hints -------------------------------------------------------------
     def retry_after(self) -> int:

@@ -6,9 +6,10 @@ one:
 
 ====================  ======================================================
 ``POST /v1/predict``  one cell: admission → answer cache → coalesce →
-                      micro-batch → sweep executor → response
+                      micro-batch → ``ApiService.predict_batch`` → response
 ``POST /v1/sweep``    a named grid as a background job (``202`` + job id)
-``GET /v1/jobs/{id}`` the :class:`~repro.api.JobStatus` of a submission
+``GET /v1/jobs/{id}`` the :class:`~repro.api.JobStatus` of a submission,
+                      from the service's job table
 ``GET /healthz``      liveness + admission/batcher/cache stats
 ``GET /metrics``      the ambient :mod:`repro.obs` Prometheus exposition
 ====================  ======================================================
@@ -27,9 +28,7 @@ parser a dozen lines with no pipelining states to get wrong.
 from __future__ import annotations
 
 import asyncio
-import collections
 import concurrent.futures
-import itertools
 import json
 import time
 import typing as _t
@@ -38,10 +37,9 @@ from repro import obs
 from repro.api import (
     API_VERSION,
     ApiError,
-    JobStatus,
+    ApiService,
     PredictRequest,
     SweepRequest,
-    sweep_result_dict,
 )
 from repro.serve.admission import AdmissionController
 from repro.serve.batching import RequestBatcher
@@ -61,6 +59,9 @@ _REASONS = {
 #: request bodies past this size are refused outright
 _MAX_BODY = 1 << 20
 
+#: finished answers kept warm (LRU beyond this)
+_ANSWER_CACHE_SIZE = 4096
+
 
 class _HttpError(Exception):
     """An error that maps straight to a response status."""
@@ -74,8 +75,10 @@ class _HttpError(Exception):
 
 
 class GraphbenchServer:
-    """The prediction service: one shared runner + trace cache, an
-    answer cache, a coalescing batcher, and an admission gate.
+    """The prediction service: a thin async adapter over one
+    :class:`~repro.api.ApiService` (runner views, batched predicts, the
+    job table), adding HTTP, an admission gate, an answer cache and a
+    coalescing micro-batcher.
 
     ``start()`` binds (``port=0`` picks a free port — the tests and
     the load benchmark rely on that) and ``serve_forever()`` blocks;
@@ -94,15 +97,12 @@ class GraphbenchServer:
         window_seconds: float = 0.01,
         max_pending: int = 64,
         deadline_seconds: float = 30.0,
-        answer_cache_size: int = 4096,
         events_path: str | None = None,
     ) -> None:
-        from repro.core.runner import Runner
-
-        self.runner = runner if runner is not None else Runner()
+        self.service = ApiService(runner)
         self.host = host
         self.port = port
-        self.answer_cache = AnswerCache(maxsize=answer_cache_size)
+        self.answer_cache = AnswerCache(maxsize=_ANSWER_CACHE_SIZE)
         # Micro-batches and background sweep jobs each get their own
         # single-thread executor: a shared pool would let concurrent
         # sweep jobs occupy every thread and starve predict dispatches
@@ -116,7 +116,7 @@ class GraphbenchServer:
             max_workers=1, thread_name_prefix="serve-sweep"
         )
         self.batcher = RequestBatcher(
-            self.runner,
+            self.service,
             workers=workers,
             window_seconds=window_seconds,
             answer_cache=self.answer_cache,
@@ -126,11 +126,7 @@ class GraphbenchServer:
             max_pending=max_pending, deadline_seconds=deadline_seconds
         )
         self.events_path = events_path
-        self._jobs: collections.OrderedDict[str, JobStatus] = (
-            collections.OrderedDict()
-        )
-        self._job_ids = itertools.count(1)
-        self._job_tasks: set[asyncio.Task] = set()
+        self._sweeps: set[asyncio.Future] = set()
         self._server: asyncio.base_events.Server | None = None
         self._owns_obs = False
         self.requests_served = 0
@@ -156,8 +152,8 @@ class GraphbenchServer:
             await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        for task in list(self._job_tasks):
-            task.cancel()
+        for sweep in list(self._sweeps):
+            sweep.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -288,10 +284,10 @@ class GraphbenchServer:
             return await self._sweep(body)
         if path.startswith("/v1/jobs/") and method == "GET":
             job_id = path.rsplit("/", 1)[1]
-            status = self._jobs.get(job_id)
-            if status is None:
-                raise _HttpError(404, f"unknown job {job_id!r}")
-            return 200, status.to_dict(), ()
+            try:
+                return 200, self.service.result(job_id).to_dict(), ()
+            except KeyError:
+                raise _HttpError(404, f"unknown job {job_id!r}") from None
         raise _HttpError(404, f"no route for {method} {path}")
 
     # -- handlers ----------------------------------------------------------
@@ -332,10 +328,11 @@ class GraphbenchServer:
             # mapped to statuses above — must return the slot, or the
             # gate leaks capacity until restart
             self.admission.release(time.monotonic() - started)
-        job_id = self._store_job("predict", result)
+        job = self.service.open_job("predict")
+        self.service.finish_job(job.job_id, result)
         return 200, {
             "api_version": API_VERSION,
-            "job_id": job_id,
+            "job_id": job.job_id,
             "cached": cached,
             "result": result,
         }, ()
@@ -352,59 +349,26 @@ class GraphbenchServer:
                 429, "server at capacity",
                 (("Retry-After", str(self.admission.retry_after())),),
             )
-        job_id = f"job-{next(self._job_ids)}"
-        self._set_job(JobStatus(job_id=job_id, kind="sweep", state="queued"))
-        task = asyncio.get_running_loop().create_task(
-            self._run_sweep_job(job_id, request)
-        )
-        self._job_tasks.add(task)
-        task.add_done_callback(self._job_tasks.discard)
-        return 202, self._jobs[job_id].to_dict(), ()
-
-    async def _run_sweep_job(
-        self, job_id: str, request: SweepRequest
-    ) -> None:
+        # job-table writes stay on the event-loop thread: the executor
+        # only computes, and the done callback runs on the loop
+        job = self.service.open_job("sweep")
+        self.service.start_job(job.job_id)
         started = time.monotonic()
-        self._set_job(
-            JobStatus(job_id=job_id, kind="sweep", state="running")
+        sweep = asyncio.get_running_loop().run_in_executor(
+            self._sweep_executor, self.service.execute, request
         )
-        loop = asyncio.get_running_loop()
-        try:
-            runner = self.batcher._runner_for(
-                request.scale, self.runner.repetitions
-            )
-            experiment = await loop.run_in_executor(
-                self._sweep_executor,
-                lambda: runner.run_grid(
-                    request.to_sweep_spec(), workers=request.workers
-                ),
-            )
-        except Exception as exc:  # noqa: BLE001 - contract: failed state
-            self._set_job(JobStatus(
-                job_id=job_id, kind="sweep", state="failed", error=str(exc)
-            ))
-        else:
-            self._set_job(JobStatus(
-                job_id=job_id, kind="sweep", state="done",
-                result=sweep_result_dict(experiment),
-            ))
-        finally:
+        self._sweeps.add(sweep)
+
+        def finish(done: asyncio.Future) -> None:
+            self._sweeps.discard(done)
             self.admission.release(time.monotonic() - started)
+            if not done.cancelled():
+                self.service.finish_job(job.job_id, done.result())
+
+        sweep.add_done_callback(finish)
+        return 202, job.to_dict(), ()
 
     # -- helpers -----------------------------------------------------------
-    def _store_job(self, kind: str, result: dict) -> str:
-        job_id = f"job-{next(self._job_ids)}"
-        self._set_job(JobStatus(
-            job_id=job_id, kind=kind, state="done", result=result
-        ))
-        return job_id
-
-    def _set_job(self, status: JobStatus) -> None:
-        self._jobs[status.job_id] = status
-        self._jobs.move_to_end(status.job_id)
-        while len(self._jobs) > 1024:
-            self._jobs.popitem(last=False)
-
     def _health_payload(self) -> dict:
         return {
             "api_version": API_VERSION,
@@ -412,7 +376,7 @@ class GraphbenchServer:
             "requests_served": self.requests_served,
             "admission": self.admission.stats(),
             "batching": self.batcher.stats(),
-            "trace_cache": dict(self.runner.trace_cache.stats()),
+            "trace_cache": dict(self.service.runner.trace_cache.stats()),
         }
 
     def _metrics_text(self) -> str:

@@ -9,10 +9,11 @@ batcher exploits two kinds of redundancy before any computation runs:
   sweep (asserted in ``tests/test_serve.py`` and visible on
   ``/metrics`` as ``serve.coalesced_total``);
 * **micro-batching** — *distinct* cells arriving within one window
-  (default 10 ms) are flushed together as a single spec list through
-  :func:`repro.core.sweep.run_specs`, so the PR 5 ProcessPool executor
-  amortizes its dispatch overhead across the batch instead of paying
-  it per request.
+  (default 10 ms) are flushed together as one
+  :meth:`ApiService.predict_batch <repro.api.ApiService.predict_batch>`
+  call, so the process-pool executor behind it amortizes its dispatch
+  overhead across the batch instead of paying it per request.  A cell
+  whose computation raises fails only its own waiters.
 
 Dispatch is serialized by an :class:`asyncio.Lock` — one batch in the
 executor at a time — which, together with
@@ -25,18 +26,12 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import dataclasses
 import time
 import typing as _t
 
 from repro import obs
-from repro.api import PredictRequest, PredictResponse
-from repro.core.sweep import run_specs
+from repro.api import ApiService, PredictRequest
 from repro.serve.cache import AnswerCache
-
-if _t.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.results import RunRecord
-    from repro.core.runner import Runner
 
 __all__ = ["RequestBatcher"]
 
@@ -46,32 +41,31 @@ class RequestBatcher:
 
     All bookkeeping runs on the event loop (single-threaded, so plain
     dicts are race-free); only the batch computation itself leaves the
-    loop, via ``run_in_executor``.
+    loop: :meth:`ApiService.predict_batch
+    <repro.api.ApiService.predict_batch>` runs in ``executor``, a
+    dedicated pool, since sharing the loop's default pool with other
+    ``run_in_executor`` users (clients in tests, sweep jobs) can starve
+    the batch thread and deadlock the whole service.
     """
 
     def __init__(
         self,
-        runner: "Runner",
+        service: ApiService,
         *,
-        workers: int = 1,
-        window_seconds: float = 0.01,
-        answer_cache: AnswerCache | None = None,
-        executor: concurrent.futures.Executor | None = None,
+        workers: int,
+        window_seconds: float,
+        answer_cache: AnswerCache,
+        executor: concurrent.futures.Executor,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if window_seconds < 0:
             raise ValueError("window_seconds must be non-negative")
-        self.runner = runner
+        self.service = service
         self.workers = int(workers)
         self.window_seconds = float(window_seconds)
-        self.answer_cache = answer_cache or AnswerCache()
-        # A dedicated executor: sharing the loop's default pool with
-        # other run_in_executor users (clients in tests, sweep jobs)
-        # can starve the batch thread and deadlock the whole service.
-        self.executor = executor or concurrent.futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-batch"
-        )
+        self.answer_cache = answer_cache
+        self.executor = executor
         self._in_flight: dict[tuple, asyncio.Future] = {}
         self._pending: dict[tuple, PredictRequest] = {}
         self._flush_task: asyncio.Task | None = None
@@ -149,66 +143,29 @@ class RequestBatcher:
         started = time.monotonic()
         try:
             async with self._dispatch_lock:
-                records = await loop.run_in_executor(
-                    self.executor, self._run_batch, requests
+                outcomes = await loop.run_in_executor(
+                    self.executor, self.service.predict_batch,
+                    requests, self.workers,
                 )
         except Exception as exc:  # noqa: BLE001 - fail every waiter
-            for key in keys:
-                future = self._in_flight.pop(key, None)
-                if future is not None and not future.done():
-                    future.set_exception(exc)
-            return
-        if session is not None:
-            session.metrics.observe(
-                "serve.batch_wall_seconds", time.monotonic() - started
-            )
-        for key, record in zip(keys, records):
-            payload = PredictResponse.from_record(record).to_dict()
-            self.answer_cache.put(key, payload)
+            outcomes = [exc] * len(keys)
+        else:
+            if session is not None:
+                session.metrics.observe(
+                    "serve.batch_wall_seconds", time.monotonic() - started
+                )
+        for key, outcome in zip(keys, outcomes):
             future = self._in_flight.pop(key, None)
+            if isinstance(outcome, Exception):
+                # a failed cell fails only its own waiters, and is
+                # never cached: a retry recomputes it
+                if future is not None and not future.done():
+                    future.set_exception(outcome)
+                continue
+            payload = outcome.to_dict()
+            self.answer_cache.put(key, payload)
             if future is not None and not future.done():
                 future.set_result(payload)
-
-    def _run_batch(
-        self, requests: _t.Sequence[PredictRequest]
-    ) -> list["RunRecord"]:
-        """Execute one micro-batch (runs on an executor thread).
-
-        Cells sharing (scale, repetitions) form one spec list for
-        :func:`run_specs`; a singleton group skips the pool entirely.
-        """
-        groups: dict[tuple, list[tuple[int, PredictRequest]]] = {}
-        for index, request in enumerate(requests):
-            groups.setdefault(
-                (request.scale, request.repetitions), []
-            ).append((index, request))
-        out: list["RunRecord | None"] = [None] * len(requests)
-        for (scale, repetitions), members in groups.items():
-            runner = self._runner_for(scale, repetitions)
-            specs = [request.to_run_spec() for _, request in members]
-            if len(specs) < 2 or self.workers == 1:
-                records = [runner.run(spec) for spec in specs]
-            else:
-                records = list(
-                    run_specs(
-                        runner, "serve-batch", specs, workers=self.workers
-                    )
-                )
-            for (index, _), record in zip(members, records):
-                out[index] = record
-        return _t.cast("list[RunRecord]", out)
-
-    def _runner_for(self, scale: float, repetitions: int) -> "Runner":
-        """A runner view for this group — same seed, jitter and (most
-        importantly) the same shared trace cache."""
-        if (
-            float(scale) == float(self.runner.scale)
-            and int(repetitions) == int(self.runner.repetitions)
-        ):
-            return self.runner
-        return dataclasses.replace(
-            self.runner, scale=float(scale), repetitions=int(repetitions)
-        )
 
     # -- accounting --------------------------------------------------------
     def coalescing_ratio(self) -> float:

@@ -35,9 +35,7 @@ class AnswerCache:
     answer object, not a reconstruction of it.
     """
 
-    def __init__(self, maxsize: int = 4096) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
+    def __init__(self, maxsize: int) -> None:
         self.maxsize = int(maxsize)
         self._store: collections.OrderedDict[tuple, dict] = (
             collections.OrderedDict()
@@ -73,9 +71,6 @@ class AnswerCache:
         session = obs.active()
         if session is not None:
             session.metrics.gauge("serve.answer_cache_size", len(self._store))
-
-    def clear(self) -> None:
-        self._store.clear()
 
     # -- accounting --------------------------------------------------------
     def hit_rate(self) -> float:

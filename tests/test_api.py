@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.api import (
     API_VERSION,
     ApiError,
+    MAX_JOBS,
     ApiService,
     JobStatus,
     PredictRequest,
@@ -370,6 +371,22 @@ class TestApiService:
         status = service.result(job_id)
         assert status.state == "failed"
         assert status.error
+
+    def test_job_table_evicts_only_finished_jobs(self):
+        service = ApiService(Runner())
+        sweep = service.open_job("sweep")
+        service.start_job(sweep.job_id)
+        predicts = [service.open_job("predict") for _ in range(MAX_JOBS)]
+        for job in predicts:
+            service.finish_job(job.job_id, {})
+        # 1025 jobs: the oldest *finished* one goes, not the running sweep
+        assert service.result(sweep.job_id).state == "running"
+        with pytest.raises(KeyError):
+            service.result(predicts[0].job_id)
+        assert service.result(predicts[1].job_id).state == "done"
+        service.finish_job(sweep.job_id, RuntimeError("lost a node"))
+        failed = service.result(sweep.job_id)
+        assert (failed.state, failed.error) == ("failed", "lost a node")
 
     def test_unknown_job_raises(self, service):
         with pytest.raises(KeyError):

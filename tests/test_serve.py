@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -171,7 +172,74 @@ class TestCoalescing:
         assert stats["requests"] == 2
 
 
+class TestBatchFailureIsolation:
+    GOOD = {"platform": "giraph", "algorithm": "bfs", "dataset": "amazon"}
+    BAD = dict(GOOD, platform="nope")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_cell_fails_only_its_own_waiters(self, workers):
+        async def scenario(server):
+            good, bad = await asyncio.gather(
+                _request(server.port, "POST", "/v1/predict", self.GOOD),
+                _request(server.port, "POST", "/v1/predict", self.BAD),
+            )
+            return good, bad, server.batcher.stats()
+
+        (s_good, _, b_good), (s_bad, _, b_bad), stats = _with_server(
+            scenario, workers=workers, window_seconds=0.2
+        )
+        assert stats["batches"] == 1  # both cells shared one micro-batch
+        assert s_bad == 400
+        assert "nope" in json.loads(b_bad)["error"]
+        assert s_good == 200
+        direct = PredictResponse.from_record(
+            Runner().run(PredictRequest(**self.GOOD).to_run_spec())
+        )
+        assert canonical_json(json.loads(b_good)["result"]) == direct.to_json()
+        # the failure stayed out of the answer cache
+        assert stats["answer_cache"]["size"] == 1
+
+
 class TestSweepJobs:
+    def test_running_sweep_survives_the_job_table_bound(self):
+        """The job table evicts only finished jobs: a sweep still
+        running after 1024 later predicts must stay pollable."""
+        release = threading.Event()
+        sweep = {"platforms": ["giraph"], "algorithms": ["bfs"],
+                 "datasets": ["amazon"]}
+
+        async def scenario(server):
+            # park the sweep thread so the job cannot finish early
+            server._sweep_executor.submit(release.wait)
+            try:
+                _, _, body = await _request(
+                    server.port, "POST", "/v1/sweep", sweep
+                )
+                job_id = json.loads(body)["job_id"]
+                for _ in range(1024):
+                    status, _, _ = await _request(
+                        server.port, "POST", "/v1/predict", CELL
+                    )
+                    assert status == 200
+                status, _, running = await _request(
+                    server.port, "GET", f"/v1/jobs/{job_id}"
+                )
+            finally:
+                release.set()
+            for _ in range(200):
+                _, _, job_body = await _request(
+                    server.port, "GET", f"/v1/jobs/{job_id}"
+                )
+                if json.loads(job_body).get("state") == "done":
+                    break
+                await asyncio.sleep(0.05)
+            return status, json.loads(running), json.loads(job_body)
+
+        status, running, done = _with_server(scenario)
+        assert status == 200
+        assert running["state"] == "running"
+        assert done["state"] == "done"
+
     def test_sweep_runs_as_background_job(self):
         payload = {
             "platforms": ["giraph", "neo4j"],
@@ -287,12 +355,12 @@ class TestProtocolErrors:
         max_pending=1 a leak would shed every later request as 429."""
 
         async def scenario(server):
-            def boom(requests):
+            def boom(requests, workers):
                 raise RuntimeError("executor blew up")
 
-            server.batcher._run_batch = boom
+            server.service.predict_batch = boom
             failed = await _request(server.port, "POST", "/v1/predict", CELL)
-            del server.batcher._run_batch  # back to the bound method
+            del server.service.predict_batch  # back to the bound method
             recovered = await _request(
                 server.port, "POST", "/v1/predict", CELL
             )

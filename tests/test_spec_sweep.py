@@ -8,8 +8,8 @@ independent experiment):
 * jitter streams derive from ``(seed, cell identity)``, never from
   grid position, so reordered and parallel grids reproduce serial
   results bit-for-bit;
-* the deprecated kwargs entry points produce results identical to the
-  spec path while warning;
+* grids are passed as a SweepSpec only — loose grid keywords are a
+  ``TypeError``;
 * worker-process sweeps merge trace-cache counters and telemetry back
   into the parent.
 """
@@ -137,33 +137,8 @@ class TestCellSeed:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize("platform", PLATFORM_NAMES)
-    @pytest.mark.parametrize("algorithm", ["bfs", "conn"])
-    def test_run_cell_shim_matches_spec_path(self, platform, algorithm):
-        shim_runner = Runner(jitter=0.02, repetitions=2)
-        spec_runner = Runner(jitter=0.02, repetitions=2)
-        with pytest.warns(DeprecationWarning):
-            via_shim = shim_runner.run_cell(platform, algorithm, "wikitalk")
-        via_spec = spec_runner.run(RunSpec(platform, algorithm, "wikitalk"))
-        assert records_equal(via_shim, via_spec)
-
-    def test_legacy_run_grid_matches_sweepspec(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = Runner().run_grid(
-                "test:legacy",
-                platforms=list(GRID.platforms),
-                algorithms=list(GRID.algorithms),
-                datasets=list(GRID.datasets),
-            )
-        modern = Runner().run_grid(GRID)
-        assert len(legacy) == len(modern)
-        for a, b in zip(legacy, modern):
-            assert records_equal(a, b)
-
-    def test_legacy_run_grid_requires_full_grid(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                Runner().run_grid("test:partial", platforms=["giraph"])
+    """The loose-kwargs grid form is gone: the grid lives in the
+    SweepSpec only."""
 
     def test_sweepspec_rejects_extra_grid_kwargs(self):
         with pytest.raises(TypeError):
