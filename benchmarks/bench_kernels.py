@@ -1,23 +1,10 @@
-"""Kernel-tier benchmark: compiled superstep kernels vs pure numpy.
+"""Superstep-kernel micro benchmark.
 
-Two measurement levels, both recorded into ``BENCH_harness.json`` by
-``scripts/bench_snapshot.py``:
-
-* **micro** — each dispatchable kernel timed in isolation on inputs
-  drawn from the amazon dataset (hash partition, mid-BFS-sized
-  frontier), numpy tier vs the active tier.  On a machine without
-  numba the active tier *is* the numpy tier, so ratios sit at ~1 and
-  only document the dispatch overhead.
-* **active-set sweep** — the acceptance headline: the same all-platform
-  BFS sweep over amazon at scale 4 that ``bench_sparse_reports`` uses,
-  run once with kernels pinned to the numpy tier and once on the active
-  backend.  With numba loaded this is the end-to-end speedup the
-  compiled tier buys on the harness's measured hot path.
-
-The pytest gate asserts the >= 3x sweep speedup **only when the
-compiled tier actually loaded** — numpy-fallback machines skip the
-ratio (mirroring ``bench_parallel_sweep``'s single-core skip), never
-the bit-identity suite in ``tests/test_kernels.py``.
+Each kernel of :mod:`repro.kernels.dispatch` is timed in isolation on
+inputs drawn from the amazon dataset (hash partition, mid-BFS-sized
+frontier).  ``scripts/bench_snapshot.py`` records the best-of walls
+into ``BENCH_harness.json`` as ``kernels.micro.<kernel>.active_ms``,
+and ``scripts/perf_gate.py`` budgets each of them.
 """
 
 from __future__ import annotations
@@ -25,25 +12,17 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import run_once
 from repro.core.report import render_table
-from repro.core.runner import Runner
-from repro.core.spec import SweepSpec
-from repro.core.suite import ALL_PLATFORMS
 from repro.datasets import load_dataset
 from repro.graph.partition import hash_partition
 from repro.kernels import dispatch as kernels
-from repro.kernels import _numpy
-from repro.platforms.registry import clear_context_caches
 
 MICRO_DATASET = "amazon"
-MICRO_SCALE = 0.125  # tiny: micro inputs, not the headline measurement
+MICRO_SCALE = 0.125  # the "tiny" scale factor
 NUM_PARTS = 20
-SWEEP_SCALE = 4.0
 #: micro repeats (best-of); the LDG case streams every vertex through a
-#: python-level loop on the numpy tier, so it gets fewer repeats
+#: python-level loop, so it gets fewer repeats
 MICRO_REPEATS = 5
 LDG_REPEATS = 2
 
@@ -72,7 +51,7 @@ def _micro_cases() -> dict[str, tuple[int, "object"]]:
     ).astype(np.int64)
     frontier_parts = assign[frontier]
     frontier_vals = deg64[frontier]
-    gathered = _numpy.gather_neighbors(indptr, indices, frontier)
+    gathered = kernels.gather_neighbors(indptr, indices, frontier)
     scatter_vals = rng.random(len(gathered))
     dist = np.full(n, np.inf)
     degree = np.asarray(g.degree(), dtype=np.int64)
@@ -116,117 +95,26 @@ def _micro_cases() -> dict[str, tuple[int, "object"]]:
 
 
 def measure_micro() -> dict:
-    """Per-kernel best-of walls: numpy tier vs the active tier."""
+    """Per-kernel best-of walls (ms)."""
     out: dict[str, dict[str, float]] = {}
     for name, (repeats, call) in _micro_cases().items():
-        numpy_fn = getattr(_numpy, name)
-        active_fn = getattr(kernels, name)  # dispatch wrapper
-        # Warm both once (JIT compilation must not count as runtime).
-        call(numpy_fn)
-        call(active_fn)
-        numpy_s = _best(lambda: call(numpy_fn), repeats)
-        active_s = _best(lambda: call(active_fn), repeats)
-        out[name] = {
-            "numpy_ms": round(numpy_s * 1e3, 4),
-            "active_ms": round(active_s * 1e3, 4),
-            "ratio": round(numpy_s / active_s, 3) if active_s > 0 else 0.0,
-        }
+        fn = getattr(kernels, name)
+        call(fn)  # warm caches and allocator before timing
+        wall = _best(lambda: call(fn), repeats)
+        out[name] = {"active_ms": round(wall * 1e3, 4)}
     return out
 
 
-def _sweep() -> float:
-    """One cold-context all-platform BFS sweep over amazon (wall s).
-
-    Context caches are cleared so every sweep pays the full active-set
-    cost — partition construction's per-direction edge pass plus the
-    per-superstep bincount aggregation — which is precisely the surface
-    the compiled tier targets.  Dataset synthesis stays cached.
-    """
-    clear_context_caches()
-    runner = Runner(scale=SWEEP_SCALE)
-    start = time.perf_counter()
-    exp = runner.run_grid(SweepSpec.make(
-        "bench:kernels",
-        platforms=ALL_PLATFORMS,
-        algorithms=("bfs",),
-        datasets=(MICRO_DATASET,),
-    ))
-    wall = time.perf_counter() - start
-    assert len(exp) == len(ALL_PLATFORMS)
-    return wall
-
-
-def measure_active_set_sweep(*, repeats: int = 2) -> dict:
-    """The acceptance sweep: numpy-tier wall vs active-tier wall.
-
-    Walls are the best of ``repeats`` fresh-cache sweeps per tier so
-    scheduler noise cannot masquerade as a regression (the
-    ``bench_sparse_reports`` protocol); partition contexts are
-    pre-warmed and shared, as in real use.
-    """
-    load_dataset(MICRO_DATASET, scale=SWEEP_SCALE)  # synthesis out of timing
-    _sweep()  # prewarm dataset/partition caches (and JIT, when loaded)
-    with kernels.use_backend("numpy"):
-        numpy_wall = min(_sweep() for _ in range(repeats))
-    active_wall = min(_sweep() for _ in range(repeats))
-    return {
-        "scale": SWEEP_SCALE,
-        "dataset": MICRO_DATASET,
-        "numpy_wall": round(numpy_wall, 4),
-        "active_wall": round(active_wall, 4),
-        "ratio": round(numpy_wall / active_wall, 3),
-    }
-
-
 def measure_kernels() -> dict:
-    """The snapshot's ``kernels`` section: backend provenance, micro
-    walls, and the active-set sweep ratio."""
-    return {
-        "backend": kernels.active_backend(),
-        "requested": kernels.requested_backend(),
-        "numba_version": kernels.numba_version(),
-        "micro": measure_micro(),
-        "active_set_sweep": measure_active_set_sweep(),
-    }
+    """The snapshot's ``kernels`` section: per-kernel micro walls."""
+    return {"micro": measure_micro()}
 
 
 def render_kernels(data: dict) -> str:
     rows = [
-        [name, f"{row['numpy_ms']:.3f} ms", f"{row['active_ms']:.3f} ms",
-         f"{row['ratio']:.2f}x"]
+        [name, f"{row['active_ms']:.3f} ms"]
         for name, row in data["micro"].items()
     ]
-    sweep = data["active_set_sweep"]
-    rows.append([
-        "amazon bfs sweep",
-        f"{sweep['numpy_wall']:.3f} s",
-        f"{sweep['active_wall']:.3f} s",
-        f"{sweep['ratio']:.2f}x",
-    ])
     return render_table(
-        ["kernel", "numpy", "active", "speedup"],
-        rows,
-        title=(
-            f"Superstep kernels: numpy vs {data['backend']} backend "
-            f"(requested {data['requested']})"
-        ),
-    )
-
-
-def test_kernel_tier_speedup(benchmark):
-    def experiment():
-        data = measure_kernels()
-        return data, render_kernels(data)
-
-    data, _ = run_once(benchmark, experiment)
-
-    if data["backend"] != "numba":
-        pytest.skip(
-            "compiled kernel tier not loaded (numpy fallback) — "
-            "speedup ratio not meaningful"
-        )
-    sweep = data["active_set_sweep"]
-    assert sweep["ratio"] >= 3.0, (
-        f"amazon active-set sweep only {sweep['ratio']:.2f}x faster "
-        f"on the compiled tier"
+        ["kernel", "best wall"], rows, title="Superstep kernels (micro)",
     )

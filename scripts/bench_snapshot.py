@@ -3,8 +3,7 @@
 
 Runs the harness micro-benchmarks — the cold-vs-warm trace-cache
 sweep, the sparse-vs-dense report sweep, the serial-vs-parallel
-grid sweep, the superstep-kernel tier (per-kernel micro walls plus
-the amazon active-set sweep, numpy vs the active dispatch backend),
+grid sweep, the per-kernel superstep micro walls,
 validated benchmark-mode smokes at the two smallest scale factors,
 the harness-observability off-vs-on sweep (overhead, worker
 utilization, per-cell wall quantiles), and the serving-layer
@@ -14,8 +13,8 @@ trace-memory numbers, and validation summary as one JSON document.  CI uploads t
 build artifact and ``scripts/perf_gate.py`` compares it against the
 committed reference, so every PR leaves a gated perf data point; the
 committed copy at the repo root is the reference snapshot for the
-machine that produced it (its ``cores`` and ``kernels.backend``
-fields say which budgets are comparable).
+machine that produced it (its ``cores`` field says which budgets are
+comparable).
 
 Run:  python scripts/bench_snapshot.py [output_path]
 """

@@ -11,14 +11,11 @@ kinds of budget:
   the tolerance is deliberately loose; it catches order-of-magnitude
   regressions, not percent-level drift).
 * **ratio budgets** — the harness's headline speedups (trace-cache
-  warm/cold, sparse-vs-dense, parallel sweep, compiled-kernel sweep)
-  may not collapse below ``RATIO_FLOOR`` of the baseline value.
-  Ratio budgets are **skipped when either machine reports fewer than
-  four cores** — mirroring ``bench_parallel_sweep``'s skip, a 1-core
-  CI container cannot reproduce parallel or cache-contention ratios.
-  The compiled-kernel sweep ratio is additionally skipped unless
-  *both* snapshots ran on the numba backend: numpy-fallback ratios
-  hover at ~1x by construction and carry no signal.
+  warm/cold, sparse-vs-dense, parallel sweep) may not collapse below
+  ``RATIO_FLOOR`` of the baseline value.  Ratio budgets are **skipped
+  when either machine reports fewer than four cores** — mirroring
+  ``bench_parallel_sweep``'s skip, a 1-core CI container cannot
+  reproduce parallel or cache-contention ratios.
 * **overhead budget** — absolute ceilings (not baseline-relative):
   the harness-observability layer may not cost more than
   ``OVERHEAD_CEILING`` of serial sweep wall when enabled, and the
@@ -87,7 +84,6 @@ RATIO_BUDGETS = {
     "sparse_reports.wall_ratio": RATIO_FLOOR,
     "sparse_reports.memory_ratio": MEMORY_RATIO_FLOOR,
     "parallel_sweep.speedup": RATIO_FLOOR,
-    "kernels.active_set_sweep.ratio": RATIO_FLOOR,
     "harness_observability.utilization": RATIO_FLOOR,
 }
 
@@ -122,10 +118,6 @@ def _cores(doc: dict) -> int:
     return int(_lookup(doc, "cores") or _lookup(doc, "parallel_sweep.cores") or 1)
 
 
-def _backend(doc: dict) -> str:
-    return str(_lookup(doc, "kernels.backend") or "absent")
-
-
 class Gate:
     def __init__(self) -> None:
         self.failures: list[str] = []
@@ -145,13 +137,8 @@ def run_gate(current: dict, baseline: dict) -> list[str]:
     gate = Gate()
     cores = min(_cores(current), _cores(baseline))
     ratios_comparable = cores >= MIN_CORES_FOR_RATIOS
-    backends = (_backend(current), _backend(baseline))
-    kernel_ratio_comparable = backends == ("numba", "numba")
 
-    print(
-        f"perf gate: cores={_cores(current)} (baseline {_cores(baseline)}), "
-        f"kernel backend={backends[0]} (baseline {backends[1]})"
-    )
+    print(f"perf gate: cores={_cores(current)} (baseline {_cores(baseline)})")
 
     for path in WALL_BUDGETS:
         base = _lookup(baseline, path)
@@ -181,12 +168,6 @@ def run_gate(current: dict, baseline: dict) -> list[str]:
             gate.skip(
                 f"{path}: ratio budgets need >= {MIN_CORES_FOR_RATIOS} "
                 f"cores on both machines (have {cores})"
-            )
-            continue
-        if path.startswith("kernels.") and not kernel_ratio_comparable:
-            gate.skip(
-                f"{path}: needs the numba backend on both snapshots "
-                f"(have {backends[0]}/{backends[1]})"
             )
             continue
         floor = base * floor_factor

@@ -44,7 +44,7 @@ from repro.core.report import format_seconds, render_table
 from repro.core.runner import Runner
 from repro.core.spec import RunSpec, SweepSpec
 from repro.core.suite import BenchmarkSuite
-from repro.datasets.registry import DATASET_NAMES, load_dataset
+from repro.datasets.registry import DATASET_NAMES, load_dataset, resolve_scale
 from repro.datasets.spec import PAPER_SPECS_TABLE2
 from repro.platforms.registry import PLATFORM_NAMES
 
@@ -71,10 +71,6 @@ def _discover(kind: str) -> list[tuple[str, str]]:
         from repro.datasets.registry import list_scale_factors
 
         return list_scale_factors()
-    if kind == "kernel":
-        from repro.kernels import list_kernels
-
-        return list_kernels()
     assert kind == "dataset"
     from repro.datasets.registry import list_datasets
 
@@ -128,6 +124,12 @@ def _scale_arg(value: str) -> str | float:
             f"{', '.join(names)} (see `graphbench list scale-factors`)"
         )
     return v
+
+
+def _scale_multiplier(value: str) -> float:
+    """The global ``--scale``: :func:`_scale_arg`, resolved to the float
+    multiplier every runner and cache keys on."""
+    return resolve_scale(_scale_arg(value))
 
 
 # -- the unified flag vocabulary ---------------------------------------------
@@ -686,7 +688,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
         "datasets": "dataset",
         "workloads": "workload",
         "scale-factors": "scale-factor",
-        "kernels": "kernel",
     }
     kinds = (
         tuple(singular.values())
@@ -699,10 +700,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
         chunks.append(
             render_table([kind, "description"], rows, title=f"{kind}s")
         )
-    if "kernel" in kinds:
-        from repro.kernels import backend_summary
-
-        chunks.append(backend_summary())
     print("\n\n".join(chunks))
     return 0
 
@@ -878,8 +875,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph-processing platform benchmarking suite "
         "(Guo et al., IPDPS'14 reproduction)",
     )
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="dataset scale factor (default 1.0 = mini scale)")
+    p.add_argument("--scale", type=_scale_multiplier, default=1.0,
+                   metavar="SCALE",
+                   help="dataset scale factor: a named factor "
+                   "(tiny/xs/s/m/l/xl) or a number (default 1.0 = mini "
+                   "scale)")
     sub = p.add_subparsers(dest="command", required=True)
 
     # the shared flag vocabulary (defined once, see module comment)
@@ -1010,11 +1010,11 @@ def build_parser() -> argparse.ArgumentParser:
     li = sub.add_parser(
         "list",
         help="discover registered platforms, algorithms, datasets, "
-        "workloads, scale factors and superstep kernels",
+        "workloads and scale factors",
     )
     li.add_argument("kind", nargs="?", default="all",
                     choices=("all", "platforms", "algorithms", "datasets",
-                             "workloads", "scale-factors", "kernels"))
+                             "workloads", "scale-factors"))
     li.set_defaults(func=_cmd_list)
 
     be = sub.add_parser(

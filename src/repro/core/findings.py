@@ -181,7 +181,7 @@ def verify_findings(
     from repro.datasets.registry import load_dataset
     from repro.platforms.registry import get_platform
 
-    g = load_dataset("kgs")
+    g = load_dataset("kgs", scale=grid.runner.scale)
     t_hdfs = get_platform("hadoop").ingest_seconds(g)
     t_neo = get_platform("neo4j").ingest_seconds(g)
     ok = t_neo > 100 * t_hdfs

@@ -14,9 +14,8 @@ The platform models need vertex->worker assignments.  Three policies:
 the cost models consume: per-part vertex/edge counts and the cut-edge
 count that drives network traffic.
 
-The cut-edge pass and the LDG inner loop route through
-:mod:`repro.kernels.dispatch`: compiled when the kernel tier is loaded,
-pure numpy otherwise — identical assignments and counts either way.
+The cut-edge pass and the LDG inner loop are kernels of
+:mod:`repro.kernels.dispatch`.
 """
 
 from __future__ import annotations

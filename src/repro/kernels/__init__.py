@@ -1,42 +1,14 @@
-"""Compiled superstep-kernel tier with a pure-numpy fallback.
+"""The superstep kernels: one plain-numpy implementation each.
 
 The measured hot path of every sweep, benchmark, and chaos run is a
 handful of per-superstep kernels: the weighted per-part bincount behind
 :class:`~repro.platforms.base.WorkerStepCosts`, the shared cut-arc edge
 pass behind the remote-degree arrays, frontier expansion in the
 BFS/CONN/SSSP recording loops, and the LDG streaming-partitioner inner
-loop.  This package provides each kernel twice — a pure-numpy reference
-tier and a numba-``@njit`` loop tier — behind one dispatch layer
-(:mod:`repro.kernels.dispatch`) selected at import via the
-``GRAPHBENCH_KERNELS`` environment variable (``auto`` | ``numba`` |
-``numpy``).  The two tiers are property-tested bit-identical, so the
-backend is purely a wall-time choice; the numpy fallback is always
-available and numba is never a hard dependency (install it with
-``pip install repro[perf]``).
+loop.  They live in :mod:`repro.kernels.dispatch`, each checked against
+an independent loop oracle in ``tests/test_kernels.py``.
 """
 
-from repro.kernels.dispatch import (
-    BACKEND_CHOICES,
-    ENV_VAR,
-    KERNEL_DESCRIPTIONS,
-    active_backend,
-    backend_summary,
-    compiled_tier_loaded,
-    list_kernels,
-    numba_version,
-    requested_backend,
-    use_backend,
-)
+from repro.kernels.dispatch import active_backend
 
-__all__ = [
-    "BACKEND_CHOICES",
-    "ENV_VAR",
-    "KERNEL_DESCRIPTIONS",
-    "active_backend",
-    "backend_summary",
-    "compiled_tier_loaded",
-    "list_kernels",
-    "numba_version",
-    "requested_backend",
-    "use_backend",
-]
+__all__ = ["active_backend"]

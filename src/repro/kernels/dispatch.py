@@ -1,53 +1,34 @@
-"""Superstep-kernel dispatch: compiled tier when available, numpy always.
+"""The superstep kernels, as plain numpy functions.
 
-The backend is selected once at import time from the
-``GRAPHBENCH_KERNELS`` environment variable:
+Every function here is a vectorized numpy computation, except
+:func:`ldg_assign`, whose streaming loop is inherently sequential and is
+therefore an exact scalar loop over python floats, O(degree) per
+vertex.
 
-``auto`` (default)
-    Use the numba-compiled loop tier when numba imports, otherwise fall
-    back to the pure-numpy tier with a single logged note.
-``numba``
-    Require the compiled tier; raise immediately when numba is missing
-    (so a CI job configured for the compiled tier cannot silently test
-    the fallback).
-``numpy``
-    Force the pure-numpy tier even when numba is installed — the
-    configuration the fallback CI factor pins.
+Call sites import this module and call its kernels
+(``from repro.kernels import dispatch as kernels``).  Each kernel
+normalizes its arguments first (weights to float64, part counts to
+python ints, flags to bools), so the same inputs always reach the same
+numpy arithmetic.  While an observability session is ambient, every
+call is timed and folded into per-kernel counters
+(``kernels.numpy.<name>.calls`` / ``.wall_seconds``); when none is, the
+whole cost is one ``is None`` check.
 
-Whatever the backend, results are **bit-identical**: the compiled tier
-replays the numpy tier's exact arithmetic (see
-:mod:`repro.kernels._compiled`), which is property-tested per
-platform x algorithm in ``tests/test_kernels.py``.
-
-Call sites import this module and call its wrappers
-(``from repro.kernels import dispatch as kernels``); the wrappers
-normalize dtypes and route to the active implementation table, so the
-:func:`use_backend` test hook can swap tiers mid-process.
+Kernels never call each other through this module's globals: a tracer
+that rebinds one kernel must see exactly the calls its callers make.
 """
 
 from __future__ import annotations
 
-import contextlib
-import logging
-import os
+import functools
 import time
 
 import numpy as np
 
 from repro import obs
-from repro.kernels import _compiled, _numpy
 
 __all__ = [
-    "ENV_VAR",
-    "BACKEND_CHOICES",
-    "KERNEL_DESCRIPTIONS",
     "active_backend",
-    "requested_backend",
-    "compiled_tier_loaded",
-    "numba_version",
-    "list_kernels",
-    "backend_summary",
-    "use_backend",
     "part_bincount",
     "comm_degrees",
     "cut_count",
@@ -57,252 +38,136 @@ __all__ = [
     "ldg_assign",
 ]
 
-_LOG = logging.getLogger("repro.kernels")
-
-ENV_VAR = "GRAPHBENCH_KERNELS"
-BACKEND_CHOICES = ("auto", "numba", "numpy")
-
-#: one-line description per kernel (the ``graphbench list kernels`` rows)
-KERNEL_DESCRIPTIONS: dict[str, str] = {
-    "part_bincount": "weighted per-part workload aggregation "
-    "(every WorkerStepCosts bincount)",
-    "comm_degrees": "per-vertex cut-arc counts, one shared edge pass "
-    "(PartitionContext remote degrees)",
-    "cut_count": "cut-edge count over the CSR (Partition.cut_edges)",
-    "gather_neighbors": "frontier adjacency concatenation "
-    "(BFS-style expansion)",
-    "gather_with_sources": "frontier adjacency + per-entry source ids "
-    "(CONN/SSSP edge relaxation)",
-    "scatter_min": "in-place minimum scatter "
-    "(CONN label / SSSP distance combine)",
-    "ldg_assign": "Linear Deterministic Greedy streaming partitioner "
-    "inner loop",
-}
-
-_KERNEL_NAMES = tuple(KERNEL_DESCRIPTIONS)
-
-
-def _impl_table(module) -> dict[str, object]:
-    return {name: getattr(module, name) for name in _KERNEL_NAMES}
-
-
-_numba = None
-_numba_jitted = False
-
-
-def _load_numba():
-    """Import numba once; remember the module (or the failure)."""
-    global _numba
-    if _numba is None:
-        try:
-            import numba  # type: ignore[import-not-found]
-        except ImportError:
-            _numba = False
-        else:
-            _numba = numba
-    return _numba or None
-
-
-def _jit_compiled_tier(numba) -> None:
-    """Compile the loop bodies in :mod:`repro.kernels._compiled` in
-    place (idempotent; lazy per-signature compilation happens on first
-    call)."""
-    global _numba_jitted
-    if _numba_jitted:
-        return
-    jit = numba.njit(cache=True, nogil=True)
-    for name in _compiled.JIT_LOOPS:
-        setattr(_compiled, name, jit(getattr(_compiled, name)))
-    _numba_jitted = True
-
-
-def _resolve() -> tuple[str, str, dict[str, object]]:
-    """(requested, active backend, implementation table) at import."""
-    requested = os.environ.get(ENV_VAR, "auto").strip().lower() or "auto"
-    if requested not in BACKEND_CHOICES:
-        raise ValueError(
-            f"{ENV_VAR}={requested!r} is not a valid kernel backend; "
-            f"choose from {', '.join(BACKEND_CHOICES)}"
-        )
-    if requested == "numpy":
-        return requested, "numpy", _impl_table(_numpy)
-    numba = _load_numba()
-    if numba is None:
-        if requested == "numba":
-            raise RuntimeError(
-                f"{ENV_VAR}=numba but numba is not importable — "
-                "install the compiled tier with `pip install repro[perf]`"
-            )
-        _LOG.info(
-            "numba not installed; superstep kernels run on the pure-numpy "
-            "fallback (install `repro[perf]` for the compiled tier)"
-        )
-        return requested, "numpy", _impl_table(_numpy)
-    _jit_compiled_tier(numba)
-    return requested, "numba", _impl_table(_compiled)
-
-
-_REQUESTED, _BACKEND, _ACTIVE = _resolve()
-
-
-# -- introspection (the discovery API surface) -------------------------------
-
-def requested_backend() -> str:
-    """The ``GRAPHBENCH_KERNELS`` value the process was imported with."""
-    return _REQUESTED
-
 
 def active_backend() -> str:
-    """The tier actually serving kernel calls: ``numba`` or ``numpy``."""
-    return _BACKEND
+    """The kernel implementation serving calls; always ``"numpy"``
+    (the label on the per-kernel obs counters)."""
+    return "numpy"
 
 
-def compiled_tier_loaded() -> bool:
-    """True when the numba-compiled tier is the active backend."""
-    return _BACKEND == "numba"
+def _observed(fn):
+    """Time ``fn`` into the ambient observability session, if any."""
+    calls = f"kernels.numpy.{fn.__name__}.calls"
+    wall_seconds = f"kernels.numpy.{fn.__name__}.wall_seconds"
+
+    @functools.wraps(fn)
+    def kernel(*args, **kwargs):
+        session = obs.active()
+        if session is None:
+            return fn(*args, **kwargs)
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        wall = time.perf_counter() - start
+        session.metrics.count(calls)
+        session.metrics.count(wall_seconds, wall)
+        return result
+
+    return kernel
 
 
-def numba_version() -> str | None:
-    """The installed numba version, or ``None`` when unavailable."""
-    numba = _load_numba()
-    return getattr(numba, "__version__", None) if numba else None
-
-
-def list_kernels() -> list[tuple[str, str]]:
-    """Discovery API: sorted ``(name, one-line description)`` pairs for
-    every dispatchable kernel, each stamped with its active backend
-    (mirrors ``list_platforms`` / ``list_algorithms`` — the CLI's
-    ``graphbench list kernels`` is built on this)."""
-    return [
-        (name, f"{KERNEL_DESCRIPTIONS[name]} [backend: {_BACKEND}]")
-        for name in sorted(_KERNEL_NAMES)
-    ]
-
-
-def backend_summary() -> str:
-    """One line stating whether the compiled tier loaded and why."""
-    if compiled_tier_loaded():
-        return (
-            f"compiled tier: loaded (numba {numba_version()}, "
-            f"{ENV_VAR}={_REQUESTED})"
-        )
-    reason = (
-        "forced by environment" if _REQUESTED == "numpy"
-        else "numba not installed"
-    )
-    return (
-        f"compiled tier: not loaded — pure-numpy fallback "
-        f"({reason}, {ENV_VAR}={_REQUESTED})"
-    )
-
-
-@contextlib.contextmanager
-def use_backend(name: str):
-    """Test hook: run a block on a specific tier.
-
-    ``"numpy"`` binds the reference tier; ``"compiled"`` binds the loop
-    tier (numba-jitted when numba is installed, plain python otherwise
-    — same arithmetic either way, which is what the bit-identity suite
-    exercises on numba-less machines).
-    """
-    global _BACKEND, _ACTIVE
-    if name == "numpy":
-        table, backend = _impl_table(_numpy), "numpy"
-    elif name == "compiled":
-        numba = _load_numba()
-        if numba is not None:
-            _jit_compiled_tier(numba)
-        table = _impl_table(_compiled)
-        backend = "numba" if numba is not None else "numpy"
-    else:
-        raise ValueError(f"unknown kernel tier {name!r}")
-    prev = _BACKEND, _ACTIVE
-    _BACKEND, _ACTIVE = backend, table
-    try:
-        yield
-    finally:
-        _BACKEND, _ACTIVE = prev
-
-
-# -- dispatch wrappers (the hot-path API) ------------------------------------
-
-def _call(name: str, *args):
-    """Route one kernel call through the active tier.
-
-    The single ``is None`` check is the whole observability cost when
-    the layer is off; when a session is ambient, the call is timed and
-    folded into per-kernel, per-backend counters
-    (``kernels.<backend>.<name>.calls`` / ``.wall_seconds``).
-    """
-    session = obs.active()
-    if session is None:
-        return _ACTIVE[name](*args)
-    start = time.perf_counter()
-    result = _ACTIVE[name](*args)
-    wall = time.perf_counter() - start
-    metrics = session.metrics
-    metrics.count(f"kernels.{_BACKEND}.{name}.calls")
-    metrics.count(f"kernels.{_BACKEND}.{name}.wall_seconds", wall)
-    return result
-
-
+@_observed
 def part_bincount(
     parts: np.ndarray, weights: np.ndarray, num_parts: int
 ) -> np.ndarray:
-    """Float64 per-part totals of ``weights`` grouped by ``parts``.
-
-    Accumulation is in element order — the same order (and therefore
-    the same float64 sums) as ``np.bincount(parts, weights=...)``.
-    """
-    return _call(
-        "part_bincount",
-        parts, np.asarray(weights, dtype=np.float64), int(num_parts),
+    """Float64 per-part totals: ``out[parts[i]] += weights[i]``, in
+    element order."""
+    return np.bincount(
+        parts,
+        weights=np.asarray(weights, dtype=np.float64),
+        minlength=int(num_parts),
     )
 
 
+@_observed
 def comm_degrees(
     indptr: np.ndarray,
     indices: np.ndarray,
     assign: np.ndarray,
     directed: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex ``(remote_out, remote_in)`` cut-arc counts from one
-    pass over the CSR (``remote_in`` aliases ``remote_out`` on
-    undirected graphs)."""
-    return _call("comm_degrees", indptr, indices, assign, bool(directed))
+    """Per-vertex cut-arc counts ``(remote_out, remote_in)`` in one
+    edge-list pass.
+
+    An arc (u, v) whose endpoints live on different parts is
+    simultaneously a remote *out*-neighbor of u and a remote
+    *in*-neighbor of v, so both arrays come from the same cut mask.
+    Undirected graphs store both arc directions in the out-CSR, so the
+    two counts coincide and ``remote_out`` is returned twice.
+    """
+    n = len(indptr) - 1
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    dst = indices.astype(np.int64)
+    remote = assign[src] != assign[dst]
+    remote_out = np.bincount(src[remote], minlength=n).astype(np.int64)
+    if not directed:
+        return remote_out, remote_out
+    remote_in = np.bincount(dst[remote], minlength=n).astype(np.int64)
+    return remote_out, remote_in
 
 
+@_observed
 def cut_count(
     indptr: np.ndarray, indices: np.ndarray, assign: np.ndarray
 ) -> int:
     """Number of CSR arcs crossing parts (before any undirected
     halving)."""
-    return int(_call("cut_count", indptr, indices, assign))
+    src_parts = np.repeat(assign, np.diff(indptr))
+    return int(np.count_nonzero(src_parts != assign[indices]))
 
 
+def _gather(
+    indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(concatenated adjacency slices of vertices, slice lengths)`` in
+    O(total) numpy ops, or ``None`` when they gather nothing."""
+    if len(vertices) == 0:
+        return None
+    starts = indptr[vertices]
+    lens = indptr[vertices + 1] - starts
+    total = int(lens.sum())
+    if total == 0:
+        return None
+    # For each output slot, its offset within its slice:
+    # slot_in_slice = arange(total) - repeat(cumulative_slice_starts)
+    cum = np.concatenate([[0], np.cumsum(lens)[:-1]])
+    within = np.arange(total, dtype=np.int64) - np.repeat(cum, lens)
+    return indices[np.repeat(starts, lens) + within], lens
+
+
+@_observed
 def gather_neighbors(
     indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray
 ) -> np.ndarray:
     """Concatenated adjacency slices of ``vertices`` (frontier
     expansion); output dtype matches ``indices``."""
-    return _call("gather_neighbors", indptr, indices, vertices)
+    found = _gather(indptr, indices, vertices)
+    if found is None:
+        return np.empty(0, dtype=indices.dtype)
+    return found[0]
 
 
+@_observed
 def gather_with_sources(
     indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Like :func:`gather_neighbors` plus the int64 source vertex of
-    every gathered entry."""
-    return _call("gather_with_sources", indptr, indices, vertices)
+    every gathered entry (for edge-wise scatter/reduce)."""
+    found = _gather(indptr, indices, vertices)
+    if found is None:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=indices.dtype)
+    nbrs, lens = found
+    return np.repeat(np.asarray(vertices, dtype=np.int64), lens), nbrs
 
 
+@_observed
 def scatter_min(
     target: np.ndarray, idx: np.ndarray, values: np.ndarray
 ) -> None:
-    """In-place ``np.minimum.at(target, idx, values)``."""
-    _call("scatter_min", target, idx, values)
+    """In-place ``target[idx[i]] = min(target[idx[i]], values[i])``."""
+    np.minimum.at(target, idx, values)
 
 
+@_observed
 def ldg_assign(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -314,10 +179,54 @@ def ldg_assign(
     capacity: float,
     num_parts: int,
 ) -> np.ndarray:
-    """The LDG streaming-partitioner inner loop; int32 assignment."""
-    return _call(
-        "ldg_assign",
-        indptr, indices, in_indptr, in_indices, bool(directed),
-        order, np.asarray(weight, dtype=np.float64), float(capacity),
-        int(num_parts),
-    )
+    """Linear Deterministic Greedy streaming assignment (inner loop of
+    :func:`repro.graph.partition.greedy_partition`); int32 assignment.
+
+    Vertices stream in ``order``; each lands on the part maximizing
+    ``affinity * max(1 - load / capacity, 0)`` (affinity = placed
+    neighbors on the part), ties broken toward the least-loaded then
+    lowest-numbered part.
+
+    A part's score is positive only if it holds a placed neighbor and
+    is not yet full, so only the vertex's neighbor parts are scored:
+    the winner is the best-scoring neighbor part or, when every score
+    is 0, the least-loaded, lowest-numbered part — the same choice the
+    elementwise ``lexsort`` formulation (kept as the oracle in
+    ``tests/test_kernels.py``) makes, with the same IEEE operations.
+    """
+    directed = bool(directed)
+    capacity = float(capacity)
+    n = len(indptr) - 1
+    part = [-1] * n
+    loads = [0.0] * int(num_parts)
+    out_ptr = indptr.tolist()
+    in_ptr = in_indptr.tolist()
+    w = np.asarray(weight, dtype=np.float64).tolist()
+    for v in order.tolist():
+        # Adjacency is converted per vertex: a whole-array tolist()
+        # would hold ~36 bytes per edge for the duration of the loop.
+        nbrs = indices[out_ptr[v] : out_ptr[v + 1]].tolist()
+        if directed:
+            nbrs += in_indices[in_ptr[v] : in_ptr[v + 1]].tolist()
+        affinity: dict[int, int] = {}
+        for u in nbrs:
+            p = part[u]
+            if p >= 0:
+                affinity[p] = affinity.get(p, 0) + 1
+        best, best_score, best_load = -1, 0.0, 0.0
+        for p, count in affinity.items():
+            load = loads[p]
+            penalty = 1.0 - load / capacity
+            if penalty <= 0.0:
+                continue  # score 0: never beats a positive one
+            score = count * penalty
+            if score > best_score or (
+                score == best_score
+                and (load < best_load or (load == best_load and p < best))
+            ):
+                best, best_score, best_load = p, score, load
+        if best < 0:
+            best = loads.index(min(loads))
+        part[v] = best
+        loads[best] += w[v]
+    return np.array(part, dtype=np.int32)

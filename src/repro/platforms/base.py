@@ -18,9 +18,8 @@ structural arrays both paths share (degrees, remote degrees, the
 per-direction remote-traffic ratios) are built once per context from a
 single edge-list pass and cached.
 
-The aggregation bincounts and the shared edge pass route through
-:mod:`repro.kernels.dispatch` — numba-compiled when the compiled tier
-is loaded, pure numpy otherwise, bit-identical either way.
+The aggregation bincounts and the shared edge pass are kernels of
+:mod:`repro.kernels.dispatch`.
 """
 
 from __future__ import annotations

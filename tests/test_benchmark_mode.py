@@ -500,3 +500,13 @@ class TestBenchmarkCli:
             main(["benchmark", "--scale", "huge"])
         assert exc.value.code == 2
         assert "scale" in capsys.readouterr().err
+
+    def test_global_scale_accepts_named_factors(self, capsys):
+        from repro.cli import build_parser, main
+
+        args = build_parser().parse_args(["--scale", "tiny", "datasets"])
+        assert args.scale == 0.125 and type(args.scale) is float
+        assert main(["--scale", "tiny", "datasets", "--load"]) == 0
+        named = capsys.readouterr().out
+        assert main(["--scale", "0.125", "datasets", "--load"]) == 0
+        assert capsys.readouterr().out == named

@@ -38,6 +38,23 @@ class TestFindings:
         assert "FAIL" in text
 
 
+def test_ingestion_finding_loads_kgs_at_the_runner_scale(monkeypatch):
+    from repro.core.runner import Runner
+    from repro.datasets import registry
+
+    loads = []
+    load_dataset = registry.load_dataset
+
+    def spy(name, *args, **kwargs):
+        loads.append((name, kwargs.get("scale", 1.0)))
+        return load_dataset(name, *args, **kwargs)
+
+    monkeypatch.setattr(registry, "load_dataset", spy)
+    verify_findings(runner=Runner(scale=0.125))
+    assert ("kgs", 0.125) in loads
+    assert ("kgs", 1.0) not in loads
+
+
 class TestCliSubcommands:
     def test_graph500(self, capsys):
         from repro.cli import main

@@ -1,16 +1,19 @@
-"""Compiled kernel tier: dispatch mechanics and bit-identity.
+"""Superstep kernels against independent loop oracles.
 
-The contract of ``repro.kernels`` is *bit identity*: the compiled tier
-must produce byte-for-byte the same arrays as the numpy reference tier
-for every kernel, and therefore byte-identical ``WorkerStepCosts``,
-``JobResult``s, and memo counters for every platform x algorithm pair.
-The property tests here exercise the compiled loop bodies directly —
-they are plain Python until numba jits them in place, so the loop
-logic is testable (slowly) even on machines without numba, and the
-same tests compare real jitted kernels on machines with it.
+Every kernel in :mod:`repro.kernels.dispatch` is a vectorized numpy
+computation (LDG is a sparse scalar loop over neighbor parts).  Each is
+checked here against a test-local oracle that shares no code with it:
+a plain element loop for the six array kernels, and the elementwise
+``lexsort`` formulation for LDG.  The contract is *bit identity*, not
+approximate equality: integer kernels are exact, and the float kernels
+add the same float64 terms in the same element order as the loops.
+
+Swapped in for every bound kernel at once, the oracles also form a
+second kernel backend, so whole platform runs, step costs and LDG
+partitions must come out byte-identical on either backend.
 """
 
-import subprocess
+import contextlib
 import sys
 
 import numpy as np
@@ -21,18 +24,7 @@ from hypothesis import strategies as st
 from repro.cluster.spec import das4_cluster
 from repro.graph.builder import from_edges
 from repro.graph.partition import greedy_partition, hash_partition
-from repro.kernels import (
-    BACKEND_CHOICES,
-    ENV_VAR,
-    KERNEL_DESCRIPTIONS,
-    active_backend,
-    backend_summary,
-    compiled_tier_loaded,
-    list_kernels,
-    requested_backend,
-    use_backend,
-)
-from repro.kernels import _compiled, _numpy
+from repro.kernels import dispatch
 from repro.platforms.base import PartitionContext
 from repro.platforms.registry import (
     PLATFORM_NAMES,
@@ -76,102 +68,55 @@ def _bytes_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# -- per-kernel bit identity: numpy tier vs compiled tier ---------------------
+# -- the loop oracles ----------------------------------------------------------
 
 
-@given(spec=edge_lists(), num_parts=st.integers(min_value=1, max_value=6))
-@settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_part_bincount_bit_identical(spec, num_parts):
-    n, _, _ = spec
-    rng = np.random.default_rng(n)
-    parts = rng.integers(0, num_parts, size=n)
-    weights = rng.random(n) * 10
-    ref = _numpy.part_bincount(parts, weights, num_parts)
-    got = _compiled.part_bincount(parts, weights, num_parts)
-    # np.bincount accumulates float64 weights in element order; the
-    # compiled loop does the same, so identity is exact, not approximate.
-    assert _bytes_equal(ref, got)
+def _part_bincount_oracle(parts, weights, num_parts):
+    out = np.zeros(int(num_parts), dtype=np.float64)
+    for p, w in zip(parts.tolist(), np.asarray(weights, np.float64).tolist()):
+        out[p] += w
+    return out
 
 
-@given(spec=edge_lists(), num_parts=st.integers(min_value=1, max_value=5))
-@settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_comm_degrees_bit_identical(spec, num_parts):
-    g = _graph(spec)
-    assign = hash_partition(g, num_parts).assignment
-    ref_out, ref_in = _numpy.comm_degrees(
-        g.out_indptr, g.out_indices, assign, g.directed
+def _comm_degrees_oracle(indptr, indices, assign, directed):
+    n = len(indptr) - 1
+    remote_out = np.zeros(n, dtype=np.int64)
+    remote_in = np.zeros(n, dtype=np.int64)
+    for u in range(n):
+        for v in indices[indptr[u] : indptr[u + 1]].tolist():
+            if assign[v] != assign[u]:
+                remote_out[u] += 1
+                remote_in[v] += 1
+    return remote_out, remote_in
+
+
+def _cut_count_oracle(indptr, indices, assign):
+    n = len(indptr) - 1
+    return sum(
+        1
+        for u in range(n)
+        for v in indices[indptr[u] : indptr[u + 1]].tolist()
+        if assign[v] != assign[u]
     )
-    got_out, got_in = _compiled.comm_degrees(
-        g.out_indptr, g.out_indices, assign, g.directed
-    )
-    assert _bytes_equal(ref_out, got_out)
-    assert _bytes_equal(ref_in, got_in)
 
 
-@given(spec=edge_lists(), num_parts=st.integers(min_value=1, max_value=5))
-@settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_cut_count_bit_identical(spec, num_parts):
-    g = _graph(spec)
-    assign = hash_partition(g, num_parts).assignment
-    ref = _numpy.cut_count(g.out_indptr, g.out_indices, assign)
-    got = _compiled.cut_count(g.out_indptr, g.out_indices, assign)
-    assert int(ref) == int(got)
+def _gather_with_sources_oracle(indptr, indices, vertices):
+    srcs, nbrs = [], []
+    for v in np.asarray(vertices).tolist():
+        for e in range(indptr[v], indptr[v + 1]):
+            srcs.append(v)
+            nbrs.append(indices[e])
+    return np.array(srcs, dtype=np.int64), np.array(nbrs, dtype=indices.dtype)
 
 
-@given(spec=edge_lists(), data=st.data())
-@settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_gather_kernels_bit_identical(spec, data):
-    g = _graph(spec)
-    k = data.draw(st.integers(min_value=0, max_value=g.num_vertices))
-    frontier = np.sort(
-        data.draw(
-            st.permutations(range(g.num_vertices))
-        )[:k]
-    ).astype(np.int64)
-    ref = _numpy.gather_neighbors(g.out_indptr, g.out_indices, frontier)
-    got = _compiled.gather_neighbors(g.out_indptr, g.out_indices, frontier)
-    assert _bytes_equal(ref, got)
-    ref_src, ref_dst = _numpy.gather_with_sources(
-        g.out_indptr, g.out_indices, frontier
-    )
-    got_src, got_dst = _compiled.gather_with_sources(
-        g.out_indptr, g.out_indices, frontier
-    )
-    assert _bytes_equal(ref_src, got_src)
-    assert _bytes_equal(ref_dst, got_dst)
+def _gather_neighbors_oracle(indptr, indices, vertices):
+    return _gather_with_sources_oracle(indptr, indices, vertices)[1]
 
 
-@given(
-    n=st.integers(min_value=1, max_value=40),
-    m=st.integers(min_value=0, max_value=120),
-)
-@settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_scatter_min_bit_identical(n, m):
-    rng = np.random.default_rng(n * 1000 + m)
-    idx = rng.integers(0, n, size=m)
-    values = rng.random(m) * 8
-    ref = np.full(n, np.inf)
-    got = ref.copy()
-    _numpy.scatter_min(ref, idx, values)
-    _compiled.scatter_min(got, idx, values)
-    assert _bytes_equal(ref, got)
-
-
-def _ldg_args(g, num_parts, slack=1.05):
-    """The kernel arguments :func:`greedy_partition` builds for ``g``."""
-    degree = np.asarray(g.degree(), dtype=np.int64)
-    weight = np.maximum(degree, 1).astype(np.float64)
-    capacity = slack * float(weight.sum()) / num_parts
-    order = np.argsort(-degree, kind="stable")
-    return (
-        g.out_indptr, g.out_indices, g.in_indptr, g.in_indices,
-        g.directed, order, weight, capacity, num_parts,
-    )
+def _scatter_min_oracle(target, idx, values):
+    for j, value in zip(idx.tolist(), values.tolist()):
+        if value < target[j]:
+            target[j] = value
 
 
 def _ldg_lexsort_oracle(
@@ -201,6 +146,141 @@ def _ldg_lexsort_oracle(
     return assignment
 
 
+ORACLES = {
+    "part_bincount": _part_bincount_oracle,
+    "comm_degrees": _comm_degrees_oracle,
+    "cut_count": _cut_count_oracle,
+    "gather_neighbors": _gather_neighbors_oracle,
+    "gather_with_sources": _gather_with_sources_oracle,
+    "scatter_min": _scatter_min_oracle,
+    "ldg_assign": _ldg_lexsort_oracle,
+}
+
+
+def test_every_kernel_has_an_oracle():
+    kernels = {name for name in dispatch.__all__ if name != "active_backend"}
+    assert kernels == set(ORACLES)
+
+
+@contextlib.contextmanager
+def oracle_backend():
+    """Rebind every ``repro`` binding of a kernel to its oracle."""
+    swapped = []
+    for name, oracle in ORACLES.items():
+        kernel = getattr(dispatch, name)
+        for mod_name, module in list(sys.modules.items()):
+            if module is None or not mod_name.startswith("repro"):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    setattr(module, attr, oracle)
+                    swapped.append((module, attr, kernel))
+    try:
+        yield
+    finally:
+        for module, attr, kernel in swapped:
+            setattr(module, attr, kernel)
+
+
+# -- per-kernel bit identity: numpy kernel vs loop oracle ---------------------
+
+
+@given(spec=edge_lists(), num_parts=st.integers(min_value=1, max_value=6))
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_part_bincount_bit_identical(spec, num_parts):
+    n, _, _ = spec
+    rng = np.random.default_rng(n)
+    parts = rng.integers(0, num_parts, size=n)
+    weights = rng.random(n) * 10
+    # np.bincount accumulates float64 weights in element order; the
+    # oracle loop does the same, so identity is exact, not approximate.
+    assert _bytes_equal(
+        dispatch.part_bincount(parts, weights, num_parts),
+        _part_bincount_oracle(parts, weights, num_parts),
+    )
+
+
+@given(spec=edge_lists(), num_parts=st.integers(min_value=1, max_value=5))
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_comm_degrees_bit_identical(spec, num_parts):
+    g = _graph(spec)
+    assign = hash_partition(g, num_parts).assignment
+    got_out, got_in = dispatch.comm_degrees(
+        g.out_indptr, g.out_indices, assign, g.directed
+    )
+    # The oracle counts remote in-arcs even on undirected graphs, whose
+    # symmetric out-CSR makes them equal to the out counts the kernel
+    # returns twice.
+    ref_out, ref_in = _comm_degrees_oracle(
+        g.out_indptr, g.out_indices, assign, g.directed
+    )
+    assert _bytes_equal(got_out, ref_out)
+    assert _bytes_equal(got_in, ref_in)
+
+
+@given(spec=edge_lists(), num_parts=st.integers(min_value=1, max_value=5))
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cut_count_bit_identical(spec, num_parts):
+    g = _graph(spec)
+    assign = hash_partition(g, num_parts).assignment
+    got = dispatch.cut_count(g.out_indptr, g.out_indices, assign)
+    assert type(got) is int
+    assert got == _cut_count_oracle(g.out_indptr, g.out_indices, assign)
+
+
+@given(spec=edge_lists(), data=st.data())
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_gather_kernels_bit_identical(spec, data):
+    g = _graph(spec)
+    k = data.draw(st.integers(min_value=0, max_value=g.num_vertices))
+    frontier = np.sort(
+        data.draw(
+            st.permutations(range(g.num_vertices))
+        )[:k]
+    ).astype(np.int64)
+    args = (g.out_indptr, g.out_indices, frontier)
+    assert _bytes_equal(
+        dispatch.gather_neighbors(*args), _gather_neighbors_oracle(*args)
+    )
+    got_src, got_dst = dispatch.gather_with_sources(*args)
+    ref_src, ref_dst = _gather_with_sources_oracle(*args)
+    assert _bytes_equal(got_src, ref_src)
+    assert _bytes_equal(got_dst, ref_dst)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    m=st.integers(min_value=0, max_value=120),
+)
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_scatter_min_bit_identical(n, m):
+    rng = np.random.default_rng(n * 1000 + m)
+    idx = rng.integers(0, n, size=m)
+    values = rng.random(m) * 8
+    got = np.full(n, np.inf)
+    ref = got.copy()
+    dispatch.scatter_min(got, idx, values)
+    _scatter_min_oracle(ref, idx, values)
+    assert _bytes_equal(got, ref)
+
+
+def _ldg_args(g, num_parts, slack=1.05):
+    """The kernel arguments :func:`greedy_partition` builds for ``g``."""
+    degree = np.asarray(g.degree(), dtype=np.int64)
+    weight = np.maximum(degree, 1).astype(np.float64)
+    capacity = slack * float(weight.sum()) / num_parts
+    order = np.argsort(-degree, kind="stable")
+    return (
+        g.out_indptr, g.out_indices, g.in_indptr, g.in_indices,
+        g.directed, order, weight, capacity, num_parts,
+    )
+
+
 @given(
     spec=edge_lists(max_vertices=30, max_edges=90, min_edges=0,
                     max_isolated=6),
@@ -214,7 +294,7 @@ def test_ldg_assign_matches_lexsort_oracle(spec, num_parts, slack):
     # neighbors) and sends vertices to the least-loaded fallback;
     # num_parts above the vertex count leaves parts empty.
     args = _ldg_args(_graph(spec), num_parts, slack)
-    assert _bytes_equal(_numpy.ldg_assign(*args), _ldg_lexsort_oracle(*args))
+    assert _bytes_equal(dispatch.ldg_assign(*args), _ldg_lexsort_oracle(*args))
 
 
 @pytest.mark.parametrize("neighbor_order", [(0, 1, 2), (2, 1, 0)])
@@ -232,8 +312,7 @@ def test_ldg_assign_score_tie_goes_to_least_loaded(neighbor_order):
     )
     expected = np.array([0, 1, 1, 0], dtype=np.int32)
     assert _bytes_equal(_ldg_lexsort_oracle(*args), expected)
-    assert _bytes_equal(_numpy.ldg_assign(*args), expected)
-    assert _bytes_equal(_compiled.ldg_assign(*args), expected)
+    assert _bytes_equal(dispatch.ldg_assign(*args), expected)
 
 
 @pytest.mark.parametrize("dataset", ["amazon", "kgs"])
@@ -242,21 +321,10 @@ def test_ldg_assign_matches_lexsort_oracle_on_datasets(dataset, num_parts):
     from repro.datasets.registry import load_dataset
 
     args = _ldg_args(load_dataset(dataset, scale="tiny"), num_parts)
-    assert _bytes_equal(_numpy.ldg_assign(*args), _ldg_lexsort_oracle(*args))
+    assert _bytes_equal(dispatch.ldg_assign(*args), _ldg_lexsort_oracle(*args))
 
 
-@given(spec=edge_lists(), num_parts=st.integers(min_value=1, max_value=40))
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_ldg_assign_bit_identical(spec, num_parts):
-    args = _ldg_args(_graph(spec), num_parts)
-    # The loop replicates the lexsort tie-break exactly (max score,
-    # then min load, then min part index), so assignments are equal —
-    # not merely equally balanced.
-    assert _bytes_equal(_numpy.ldg_assign(*args), _compiled.ldg_assign(*args))
-
-
-# -- platform x algorithm bit identity through the dispatch layer -------------
+# -- platform x algorithm bit identity: numpy kernels vs oracle backend -------
 
 
 def _run_all_platforms(algo_name, g, params):
@@ -280,14 +348,13 @@ def test_platform_results_identical_across_backends(algo_name, spec):
     algo = get_algorithm(algo_name)
     params = algo.default_params(g)
 
-    with use_backend("numpy"):
-        ref, ref_stats = _run_all_platforms(algo_name, g, params)
-    with use_backend("compiled"):
+    ref, ref_stats = _run_all_platforms(algo_name, g, params)
+    with oracle_backend():
         got, got_stats = _run_all_platforms(algo_name, g, params)
 
     for name in PLATFORM_NAMES:
         assert ref[name] == got[name], name
-    # Same memo behaviour too: the tiers may not change how often the
+    # Same memo behaviour too: the kernels may not change how often the
     # context/step caches hit.
     assert ref_stats == got_stats
 
@@ -308,9 +375,8 @@ def test_step_costs_identical_across_backends(algo_name, spec):
         ctx = PartitionContext(g, hash_partition(g, 4), ScaleModel())
         return [ctx.step_costs(rep) for rep in trace.reports]
 
-    with use_backend("numpy"):
-        ref = charge()
-    with use_backend("compiled"):
+    ref = charge()
+    with oracle_backend():
         got = charge()
     for rc, gc in zip(ref, got):
         assert _bytes_equal(rc.compute_edges, gc.compute_edges)
@@ -325,81 +391,9 @@ def test_step_costs_identical_across_backends(algo_name, spec):
           suppress_health_check=[HealthCheck.too_slow])
 def test_greedy_partition_identical_across_backends(spec, num_parts):
     g = _graph(spec)
-    with use_backend("numpy"):
-        ref = greedy_partition(g, num_parts)
-    with use_backend("compiled"):
+    ref = greedy_partition(g, num_parts)
+    with oracle_backend():
         got = greedy_partition(g, num_parts)
+        got_cut = got.cut_edges()
     assert _bytes_equal(ref.assignment, got.assignment)
-    assert ref.cut_edges() == got.cut_edges()
-
-
-# -- dispatch layer mechanics -------------------------------------------------
-
-
-class TestDispatch:
-    def test_introspection_surface(self):
-        assert requested_backend() in BACKEND_CHOICES
-        assert active_backend() in ("numpy", "numba")
-        assert isinstance(compiled_tier_loaded(), bool)
-        assert (active_backend() == "numba") == compiled_tier_loaded()
-        summary = backend_summary()
-        assert active_backend() in summary
-
-    def test_list_kernels_covers_every_dispatch_entry(self):
-        listed = list_kernels()
-        assert [name for name, _ in listed] == sorted(KERNEL_DESCRIPTIONS)
-        for _, desc in listed:
-            assert "[backend:" in desc
-
-    def test_every_loop_exists_in_both_tiers(self):
-        for name in KERNEL_DESCRIPTIONS:
-            assert callable(getattr(_numpy, name))
-            assert callable(getattr(_compiled, name))
-
-    def test_use_backend_swaps_and_restores(self):
-        before = active_backend()
-        with use_backend("numpy"):
-            assert active_backend() == "numpy"
-        assert active_backend() == before
-
-    def test_use_backend_rejects_unknown(self):
-        with pytest.raises(ValueError, match="kernel tier"):
-            with use_backend("fortran"):
-                pass  # pragma: no cover
-
-    def _spawn(self, env_value):
-        env = {"PYTHONPATH": "src", ENV_VAR: env_value, "PATH": "/usr/bin:/bin"}
-        return subprocess.run(
-            [sys.executable, "-c",
-             "from repro.kernels import active_backend; print(active_backend())"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-
-    def test_env_numpy_pins_fallback_tier(self):
-        proc = self._spawn("numpy")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "numpy"
-
-    def test_env_invalid_value_fails_import(self):
-        proc = self._spawn("fortran")
-        assert proc.returncode != 0
-        assert ENV_VAR in proc.stderr
-
-    def test_env_numba_without_numba_is_loud(self):
-        import importlib.util
-
-        if importlib.util.find_spec("numba") is not None:
-            pytest.skip("numba installed: explicit request would succeed")
-        proc = self._spawn("numba")
-        assert proc.returncode != 0
-        assert "perf" in proc.stderr  # points at the pip extra
-
-
-def test_cli_list_kernels(capsys):
-    from repro.cli import main
-
-    assert main(["list", "kernels"]) == 0
-    out = capsys.readouterr().out
-    for name in KERNEL_DESCRIPTIONS:
-        assert name in out
-    assert "backend" in out
+    assert ref.cut_edges() == got_cut
