@@ -2,6 +2,8 @@
 MapReduce block-driven map scheduling."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.spec import das4_cluster
 from repro.datasets import load_dataset
@@ -112,6 +114,44 @@ class TestMapReduceBlockScheduling:
 
     def test_wave_makespan_empty(self):
         assert Hadoop._wave_makespan([], 4) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        durations=st.lists(
+            st.one_of(
+                st.floats(0.0, 1e4, allow_nan=False),
+                st.sampled_from([0.0, 0.1, 1.0, 7.5]),
+            ),
+            max_size=40,
+        ),
+        slots=st.integers(0, 9),
+    )
+    def test_wave_makespan_matches_des_kernel(self, durations, slots):
+        """The list scheduler is bit-identical to scheduling the same
+        tasks through a DES resource pool."""
+        assert Hadoop._wave_makespan(durations, slots) == _des_makespan(
+            durations, slots
+        )
+
+
+def _des_makespan(durations: list[float], slots: int) -> float:
+    """Reference wave makespan: every task queues for one of ``slots``
+    DES resource units and holds it for its duration."""
+    from repro.des import Resource, Simulator
+
+    if not durations:
+        return 0.0
+    sim = Simulator()
+    pool = Resource(sim, capacity=max(slots, 1))
+
+    def task(service: float):
+        with pool.request() as req:
+            yield req
+            yield sim.timeout(service)
+
+    procs = [sim.process(task(d)) for d in durations]
+    sim.run(until=sim.all_of(procs))
+    return sim.now
 
 
 class TestGiraphOutOfCore:
