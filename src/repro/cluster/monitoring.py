@@ -16,7 +16,6 @@ sample back to its contributing intervals and their spans.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import defaultdict
 
 import numpy as np
@@ -30,15 +29,6 @@ MASTER = "master"
 def worker_node(i: int) -> str:
     """Canonical node name of worker ``i``."""
     return f"worker{i}"
-
-
-@dataclasses.dataclass
-class _Interval:
-    t0: float
-    t1: float
-    value: float
-    #: telemetry span id of the emitting cost rule (None = untracked)
-    span: int | None = None
 
 
 class ResourceTrace:
@@ -55,7 +45,11 @@ class ResourceTrace:
     INTERVAL_METRICS = ("cpu", "net_in", "net_out")
 
     def __init__(self) -> None:
-        self._intervals: dict[tuple[str, str], list[_Interval]] = defaultdict(list)
+        #: (node, metric) -> [(t0, t1, value, span id)]; the span id is
+        #: the telemetry cost span of the emitting rule (None = untracked)
+        self._intervals: dict[
+            tuple[str, str], list[tuple[float, float, float, int | None]]
+        ] = defaultdict(list)
         self._memory: dict[str, list[tuple[float, float, int | None]]] = defaultdict(
             list
         )
@@ -79,14 +73,19 @@ class ResourceTrace:
         once).  ``span`` attributes the record to a telemetry cost
         span.
         """
-        if t1 < t0:
-            raise ValueError(f"interval ends before it starts: {t0}..{t1}")
-        if t1 == t0:
+        if t1 <= t0:
+            if t1 < t0:
+                raise ValueError(f"interval ends before it starts: {t0}..{t1}")
             return
-        for metric, value in (("cpu", cpu), ("net_in", net_in), ("net_out", net_out)):
-            if value:
-                self._intervals[(node, metric)].append(_Interval(t0, t1, value, span))
-        self.end_time = max(self.end_time, t1)
+        intervals = self._intervals
+        if cpu:
+            intervals[(node, "cpu")].append((t0, t1, cpu, span))
+        if net_in:
+            intervals[(node, "net_in")].append((t0, t1, net_in, span))
+        if net_out:
+            intervals[(node, "net_out")].append((t0, t1, net_out, span))
+        if t1 > self.end_time:
+            self.end_time = t1
 
     def set_memory(
         self, node: str, t: float, nbytes: float, *, span: int | None = None
@@ -123,9 +122,9 @@ class ResourceTrace:
         if metric not in self.INTERVAL_METRICS:
             raise ValueError(f"unknown metric {metric!r}")
         out = np.zeros(len(times))
-        for iv in self._intervals.get((node, metric), []):
-            mask = (times >= iv.t0) & (times < iv.t1)
-            out[mask] += iv.value
+        for t0, t1, value, _ in self._intervals.get((node, metric), []):
+            mask = (times >= t0) & (times < t1)
+            out[mask] += value
         return out
 
     def series(
@@ -168,9 +167,9 @@ class ResourceTrace:
         if metric not in self.INTERVAL_METRICS:
             raise ValueError(f"unknown metric {metric!r}")
         return [
-            (iv.value, iv.t0, iv.t1, iv.span)
-            for iv in self._intervals.get((node, metric), [])
-            if iv.t0 <= t < iv.t1
+            (value, t0, t1, span)
+            for t0, t1, value, span in self._intervals.get((node, metric), [])
+            if t0 <= t < t1
         ]
 
     def peak_attribution(self, node: str, metric: str) -> dict:

@@ -69,9 +69,8 @@ class Span:
     injected-fault marker that never contributes to charged totals).
     ``t0``/``t1`` place the span on the simulated
     timeline; ``seconds`` is the *charged* duration — for leaves it is
-    the exact float the platform model added to its breakdown (the
-    timeline extent may differ, e.g. under Stratosphere's spill-GC
-    stretching), for containers it is ``t1 - t0``.
+    the exact float the platform model added to its breakdown, for
+    containers it is ``t1 - t0``.
     """
 
     span_id: int

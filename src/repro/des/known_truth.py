@@ -16,13 +16,21 @@ recovery implementations:
 * :func:`run_whole_job_restart` — the abort-and-resubmit model shared
   by GraphLab, Stratosphere, and Neo4j
   (:meth:`Platform._recover_whole_job
-  <repro.platforms.base.Platform._recover_whole_job>`);
+  <repro.platforms.base.Platform._recover_whole_job>`, the default
+  ``_recover_crashes`` policy);
 * :func:`run_task_retry` — Hadoop/YARN per-task retry
   (:meth:`MapReduceEngine._retry_crashed_tasks
   <repro.platforms.mapreduce.MapReduceEngine._retry_crashed_tasks>`);
 * :func:`run_checkpoint_restart` — Giraph checkpoint-restart
   (:meth:`Giraph._recover_crashes
   <repro.platforms.giraph.Giraph._recover_crashes>`).
+
+In a platform run these policies are invoked by the charging skeleton
+(:class:`~repro.platforms.base.Charge`): the boundary policies at the
+end of every superstep and after the final phase, over the crash
+window since the previous scan; the task-retry policy inside every
+MapReduce job step.  The drivers here call the same methods with the
+same arguments, minus the cost formulas.
 
 Each driver has an ``expected_*`` twin computing the same outcome as
 bare arithmetic over the documented semantics — no
@@ -318,7 +326,10 @@ def run_checkpoint_restart(
     <repro.platforms.giraph.Giraph._recover_crashes>`), mirroring the
     production superstep loop: a zero-cost checkpoint barrier lands at
     the end of every ``checkpoint_interval``-th step *before* the crash
-    scan, exactly as in :meth:`Giraph._execute`."""
+    scan, exactly as :meth:`Charge.checkpoint
+    <repro.platforms.base.Charge.checkpoint>` inside the step body
+    precedes the recovery that :meth:`Charge.supersteps
+    <repro.platforms.base.Charge.supersteps>` runs after it."""
     from repro.platforms.base import PlatformCrash
 
     interval = giraph.checkpoint_interval
