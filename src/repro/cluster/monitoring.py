@@ -16,11 +16,14 @@ sample back to its contributing intervals and their spans.
 
 from __future__ import annotations
 
+import typing as _t
 from collections import defaultdict
 
 import numpy as np
 
-__all__ = ["ResourceTrace", "normalize_series", "MASTER", "worker_node"]
+__all__ = [
+    "ResourceTrace", "RowRecords", "normalize_series", "MASTER", "worker_node",
+]
 
 #: canonical node name for the master
 MASTER = "master"
@@ -40,6 +43,18 @@ class ResourceTrace:
       (the paper plots percent of all 8 cores).
     * ``net_in`` / ``net_out`` — bytes per second.
     * ``memory`` — bytes in use (step function set by events).
+
+    The trace is lazy.  A superstep loop hands its records to
+    :meth:`rows` as a function that makes them as arrays, one row per
+    superstep, and those rows (with every record made after them) wait
+    in call order until something reads the trace.  The first read
+    (:meth:`intervals`, :meth:`memory_events`, :meth:`nodes`,
+    :attr:`end_time`, sampling, attribution or pickling) makes the
+    records and builds the per-(node, metric) interval lists and
+    per-node memory events, in exactly the order and with exactly the
+    drops (zero-length intervals, zero-valued metrics) of per-step
+    :meth:`record` calls.  A run that nobody inspects never computes
+    its superstep records.
     """
 
     INTERVAL_METRICS = ("cpu", "net_in", "net_out")
@@ -53,7 +68,34 @@ class ResourceTrace:
         self._memory: dict[str, list[tuple[float, float, int | None]]] = defaultdict(
             list
         )
-        self.end_time: float = 0.0
+        #: row blocks not yet built, and the records made after them,
+        #: in call order
+        self._pending: list = []
+        self._end = 0.0
+
+    @property
+    def end_time(self) -> float:
+        """The trace's horizon: the latest end of a positive-length
+        interval, memory event or :meth:`cover` call."""
+        if self._pending:
+            self._build()
+        return self._end
+
+    @end_time.setter
+    def end_time(self, value: float) -> None:
+        if self._pending:
+            self._build()
+        self._end = value
+
+    def cover(self, t: float) -> None:
+        """Extend :attr:`end_time` to at least ``t`` (without building)."""
+        self._end = max(self._end, t)
+
+    def __getstate__(self) -> dict:
+        # pending row blocks hold their engine's fill function
+        if self._pending:
+            self._build()
+        return self.__dict__
 
     # -- recording -------------------------------------------------------------
     def record(
@@ -77,6 +119,14 @@ class ResourceTrace:
             if t1 < t0:
                 raise ValueError(f"interval ends before it starts: {t0}..{t1}")
             return
+        if self._pending:
+            self._pending.append((node, t0, t1, cpu, net_in, net_out, span))
+        else:
+            self._put(node, t0, t1, cpu, net_in, net_out, span)
+        if t1 > self._end:
+            self._end = t1
+
+    def _put(self, node, t0, t1, cpu, net_in, net_out, span) -> None:
         intervals = self._intervals
         if cpu:
             intervals[(node, "cpu")].append((t0, t1, cpu, span))
@@ -84,32 +134,73 @@ class ResourceTrace:
             intervals[(node, "net_in")].append((t0, t1, net_in, span))
         if net_out:
             intervals[(node, "net_out")].append((t0, t1, net_out, span))
-        if t1 > self.end_time:
-            self.end_time = t1
 
     def set_memory(
         self, node: str, t: float, nbytes: float, *, span: int | None = None
     ) -> None:
         """Record that ``node`` uses ``nbytes`` from time ``t`` on."""
-        self._memory[node].append((t, float(nbytes), span))
-        self.end_time = max(self.end_time, t)
+        event = (t, float(nbytes), span)
+        if self._pending:
+            self._pending.append((node, event))
+        else:
+            self._memory[node].append(event)
+        self._end = max(self._end, t)
+
+    def rows(self, n: int, fill: _t.Callable[..., None], *args) -> None:
+        """Record ``n`` rows (supersteps) with array values, later.
+
+        ``fill(rows, *args)`` makes the records through a
+        :class:`RowRecords` when the trace is first read (or pickled);
+        until then the trace keeps ``fill`` and ``args``.
+        """
+        self._pending.append(RowRecords(n, fill, args))
+
+    def _build(self) -> None:
+        """Build every pending row block and later record, in order."""
+        pending, self._pending = self._pending, []
+        for entry in pending:
+            if isinstance(entry, RowRecords):
+                entry._replay(self)
+            elif len(entry) == 2:
+                self._memory[entry[0]].append(entry[1])
+            else:
+                self._put(*entry)
+
+    # -- reading -----------------------------------------------------------------
+    def intervals(
+        self, node: str, metric: str
+    ) -> list[tuple[float, float, float, int | None]]:
+        """``metric``'s intervals on ``node`` as ``(t0, t1, value,
+        span_id)`` tuples, in recording order."""
+        if self._pending:
+            self._build()
+        return list(self._intervals.get((node, metric), ()))
+
+    def memory_events(self, node: str) -> list[tuple[float, float, int | None]]:
+        """``node``'s memory events as ``(t, bytes, span_id)`` tuples,
+        in recording order."""
+        if self._pending:
+            self._build()
+        return list(self._memory.get(node, ()))
 
     def nodes(self) -> list[str]:
         """All node names seen by the monitor."""
+        if self._pending:
+            self._build()
         seen = {n for n, _ in self._intervals} | set(self._memory)
         return sorted(seen)
 
     # -- sampling ----------------------------------------------------------------
-    def _memory_events(self, node: str) -> list[tuple[float, float, int | None]]:
+    def _sorted_memory(self, node: str) -> list[tuple[float, float, int | None]]:
         """Memory events of ``node`` in (time, value) order — the last
         event at or before a sample time defines the sampled value."""
-        return sorted(self._memory.get(node, []), key=lambda e: (e[0], e[1]))
+        return sorted(self.memory_events(node), key=lambda e: (e[0], e[1]))
 
     def sample(self, node: str, metric: str, times: np.ndarray) -> np.ndarray:
         """Value of ``metric`` on ``node`` at each time in ``times``."""
         times = np.asarray(times, dtype=np.float64)
         if metric == "memory":
-            events = self._memory_events(node)
+            events = self._sorted_memory(node)
             out = np.zeros(len(times))
             if not events:
                 return out
@@ -122,7 +213,7 @@ class ResourceTrace:
         if metric not in self.INTERVAL_METRICS:
             raise ValueError(f"unknown metric {metric!r}")
         out = np.zeros(len(times))
-        for t0, t1, value, _ in self._intervals.get((node, metric), []):
+        for t0, t1, value, _ in self.intervals(node, metric):
             mask = (times >= t0) & (times < t1)
             out[mask] += value
         return out
@@ -158,7 +249,7 @@ class ResourceTrace:
         memory it is the single defining event (``t1`` equals ``t0``).
         """
         if metric == "memory":
-            events = self._memory_events(node)
+            events = self._sorted_memory(node)
             last = None
             for t0, value, span in events:
                 if t0 <= t:
@@ -168,7 +259,7 @@ class ResourceTrace:
             raise ValueError(f"unknown metric {metric!r}")
         return [
             (value, t0, t1, span)
-            for t0, t1, value, span in self._intervals.get((node, metric), [])
+            for t0, t1, value, span in self.intervals(node, metric)
             if t0 <= t < t1
         ]
 
@@ -197,6 +288,62 @@ class ResourceTrace:
             "value": float(values[i]),
             "contributors": contributors,
         }
+
+
+class RowRecords:
+    """Records of ``n`` rows (supersteps), made with array values.
+
+    Each :meth:`record` / :meth:`set_memory` call stands for one call
+    per row: times are arrays of ``n`` rows, values and ``span`` are
+    given per row (array or sequence) or once for all rows (scalar).
+    They are replayed through the trace's own :meth:`ResourceTrace.record`
+    and :meth:`ResourceTrace.set_memory`, row ``i`` of every call before
+    row ``i + 1`` of any — the calls a loop making them step by step
+    would have made, in its order.
+    """
+
+    def __init__(self, n: int, fill: _t.Callable[..., None],
+                 args: tuple) -> None:
+        self.n = n
+        self._fill = fill
+        self._args = args
+        #: (trace method name, node, per-row arguments), in call order
+        self._calls: list[tuple] = []
+
+    def record(self, node: str, t0: np.ndarray, t1: np.ndarray, *,
+               cpu=0.0, net_in=0.0, net_out=0.0, span=None) -> None:
+        """:meth:`ResourceTrace.record` once per row."""
+        self._calls.append(("record", node, (t0, t1, cpu, net_in, net_out,
+                                             span)))
+
+    def set_memory(self, node: str, t: np.ndarray, nbytes, *,
+                   span=None) -> None:
+        """:meth:`ResourceTrace.set_memory` once per row."""
+        self._calls.append(("set_memory", node, (t, nbytes, span)))
+
+    def _per_row(self, x) -> list:
+        if isinstance(x, np.ndarray) and x.ndim:
+            return x.tolist()
+        if isinstance(x, (list, tuple)):
+            return list(x)
+        return [x.item() if isinstance(x, np.generic) else x] * self.n
+
+    def _replay(self, trace: ResourceTrace) -> None:
+        """Make the records and replay them into ``trace`` row by row."""
+        self._fill(self, *self._args)
+        self._fill = self._args = None
+        calls = [(getattr(trace, method), node,
+                  [self._per_row(x) for x in args])
+                 for method, node, args in self._calls]
+        for i in range(self.n):
+            for method, node, columns in calls:
+                *values, span = (column[i] for column in columns)
+                if len(values) == 2:
+                    method(node, *values, span=span)
+                else:
+                    t0, t1, cpu, net_in, net_out = values
+                    method(node, t0, t1, cpu=cpu, net_in=net_in,
+                           net_out=net_out, span=span)
 
 
 def normalize_series(values: np.ndarray, num_points: int = 100) -> np.ndarray:

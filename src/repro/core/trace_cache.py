@@ -83,8 +83,9 @@ class TraceCache:
     :mod:`repro.core.report`.
 
     When ``spill_dir`` is set, recordings for *named* datasets are also
-    written to disk (atomically, one pickle per key) and in-memory
-    misses fall back to the directory before re-recording.  Several
+    written to disk (atomically, one pickle per key, prefixed by its
+    sha256) and in-memory misses fall back to the directory before
+    re-recording; a file whose digest does not match is a miss.  Several
     processes pointing one cache each at the same directory therefore
     reuse each other's recordings — this is how the parallel sweep
     executor (:mod:`repro.core.sweep`) shares traces across its worker
@@ -107,6 +108,8 @@ class TraceCache:
         self.disk_hits = 0
         #: recordings written to the spill directory
         self.disk_stores = 0
+        #: spill files whose payload failed its sha256 check
+        self.disk_rejects = 0
         #: real seconds spent executing programs to record traces
         self.record_seconds = 0.0
 
@@ -130,10 +133,22 @@ class TraceCache:
             return None
         path = self._spill_path(key)
         try:
-            with open(path, "rb") as fh:
-                stored_key, trace = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError):
+            data = path.read_bytes()
+        except OSError:
             return None
+        # A spill file is the sha256 of its pickled payload, a newline
+        # and the payload.  Anything else in the shared directory — a
+        # truncated write, a flipped byte — is never unpickled: it is
+        # dropped and counted, and the trace is recorded again.
+        digest, _, payload = data.partition(b"\n")
+        if digest != hashlib.sha256(payload).hexdigest().encode("ascii"):
+            self.disk_rejects += 1
+            session = obs.active()
+            if session is not None:
+                session.metrics.count("trace_cache.disk_rejects")
+            path.unlink(missing_ok=True)
+            return None
+        stored_key, trace = pickle.loads(payload)
         # Hash-collision guard: the file must describe exactly this key.
         if stored_key != key:
             return None
@@ -150,8 +165,11 @@ class TraceCache:
         # write a private temp file; the last rename wins and readers
         # never observe a partial pickle.
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        payload = pickle.dumps((key, trace), protocol=pickle.HIGHEST_PROTOCOL)
         with open(tmp, "wb") as fh:
-            pickle.dump((key, trace), fh, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.write(hashlib.sha256(payload).hexdigest().encode("ascii"))
+            fh.write(b"\n")
+            fh.write(payload)
         os.replace(tmp, path)
         self.disk_stores += 1
         session = obs.active()
@@ -334,6 +352,7 @@ class TraceCache:
         self.misses = 0
         self.disk_hits = 0
         self.disk_stores = 0
+        self.disk_rejects = 0
         self.record_seconds = 0.0
 
     def reset_for_isolation(self) -> None:

@@ -40,6 +40,7 @@ from repro.algorithms.base import (
     SuperstepProgram,
     SuperstepReport,
     SuperstepTrace,
+    TraceReplay,
     get_algorithm,
 )
 from repro.cluster.monitoring import ResourceTrace
@@ -61,6 +62,7 @@ __all__ = [
     "Charge",
     "Charged",
     "Rule",
+    "StepTable",
 ]
 
 
@@ -253,6 +255,11 @@ class PartitionContext:
         self._step_memo_limit = 4096
         self.step_memo_hits = 0
         self.step_memo_misses = 0
+        # Step tables of replayed traces, keyed by trace identity like
+        # the step memo (strong reference, ``is`` check); LRU capped at
+        # the step memo's limit in table rows.
+        self._table_memo: dict[int, tuple[SuperstepTrace, StepTable]] = {}
+        self._table_rows = 0
         # Per-direction remote-traffic ratio, built on first use; pure
         # structure, shared by every report of that direction.
         self._remote_ratio_cache: dict[str, np.ndarray] = {}
@@ -318,6 +325,28 @@ class PartitionContext:
             self._step_memo[id(report)] = (report, costs)
             return costs
         return self._compute_step_costs(report)
+
+    def step_table(self, trace: SuperstepTrace) -> "StepTable":
+        """The :class:`StepTable` of replaying ``trace`` on this context.
+
+        Built through :meth:`step_costs` and memoized by trace identity
+        when the trace's reports are pinned; a hit serves every row's
+        aggregation and counts one step-memo hit per row.
+        """
+        entry = self._table_memo.get(id(trace))
+        if entry is not None and entry[0] is trace:
+            del self._table_memo[id(trace)]
+            self._table_memo[id(trace)] = entry
+            self.step_memo_hits += entry[1].rows
+            return entry[1]
+        table = StepTable(_replayed(trace), self, trace.num_vertices)
+        if all(getattr(r, "_trace_pinned", False) for r in table.reports):
+            self._table_memo[id(trace)] = (trace, table)
+            self._table_rows += table.rows
+            while self._table_rows > self._step_memo_limit:
+                oldest = self._table_memo.pop(next(iter(self._table_memo)))
+                self._table_rows -= oldest[1].rows
+        return table
 
     def memo_stats(self) -> dict[str, int]:
         """Hit/miss counters of the per-report aggregation memo."""
@@ -424,6 +453,91 @@ class PartitionContext:
         )
 
 
+def _replayed(trace: SuperstepTrace) -> tuple[SuperstepReport, ...]:
+    """The reports a replay of ``trace`` yields: up to the first halted
+    one (:class:`~repro.algorithms.base.TraceReplay`'s iteration)."""
+    for i, report in enumerate(trace.reports):
+        if report.halted:
+            return trace.reports[: i + 1]
+    return trace.reports
+
+
+#: StepTable report columns: per-report value and dtype
+_REPORT_COLUMNS: dict[str, tuple[_t.Callable, type]] = {
+    "num_active": (lambda r, n: r.num_active(n), np.int64),
+    "distinct_receivers": (
+        lambda r, n: np.nan if r.distinct_receivers is None
+        else r.distinct_receivers, np.float64),
+    "has_received": (lambda r, n: r.received_bytes is not None, bool),
+    "max_received": (lambda r, n: r.max_received_bytes(n), np.float64),
+    "compute_total": (lambda r, n: r.total_compute_edges(), np.float64),
+    "compute_quadratic": (lambda r, n: r.compute_quadratic, bool),
+}
+#: StepTable cost columns: WorkerStepCosts field -> (column, row-wise
+#: reduction); a mean is the row sum over the worker count, as in
+#: ``np.mean``
+_COST_COLUMNS: dict[str, tuple[tuple[str, str], ...]] = {
+    "compute_edges": (("compute_max", "max"),),
+    "messages": (("messages_sum", "sum"),),
+    "sent_bytes": (("sent_sum", "sum"),),
+    "remote_sent_bytes": (("remote_sent_max", "max"),
+                          ("remote_sent_sum", "sum"),
+                          ("remote_sent_mean", "mean")),
+    "received_bytes": (("received_max", "max"),),
+    "remote_received_bytes": (("remote_received_max", "max"),
+                              ("remote_received_mean", "mean")),
+}
+
+
+class StepTable:
+    """One row per superstep: the columns engines charge from.
+
+    ``number`` is each row's superstep.  Report columns
+    (``_REPORT_COLUMNS``, built on first use): ``num_active``,
+    ``distinct_receivers`` (NaN = unknown), ``has_received``,
+    ``max_received`` (:meth:`SuperstepReport.max_received_bytes`),
+    ``compute_total`` and ``compute_quadratic``.  Cost columns (with a
+    context): the per-step maxima, sums and means of the
+    :class:`WorkerStepCosts` fields from
+    :meth:`PartitionContext.step_costs` — ``compute_max``,
+    ``messages_sum``, ``sent_sum``, ``remote_sent_max``/``_sum``/
+    ``_mean``, ``received_max``, ``remote_received_max``/``_mean`` —
+    reduced row-wise over the stacked worker arrays, which is
+    bit-identical to the per-step 1-D reductions.
+    """
+
+    def __init__(self, reports: _t.Sequence[SuperstepReport],
+                 ctx: PartitionContext | None, num_vertices: int,
+                 first: int = 1) -> None:
+        self.reports = reports
+        self.rows = n = len(reports)
+        self.number = np.arange(first, first + n)
+        self.num_vertices = num_vertices
+        if ctx is None:
+            return
+        costs = [ctx.step_costs(r) for r in reports]
+        for field, columns in _COST_COLUMNS.items():
+            stack = (np.concatenate([getattr(c, field) for c in costs])
+                     .reshape(n, -1) if costs else np.zeros((0, 1)))
+            for column, reduce in columns:
+                if reduce == "max":
+                    value = np.maximum.reduce(stack, axis=1)
+                else:
+                    value = np.add.reduce(stack, axis=1)
+                    if reduce == "mean":
+                        value = value / stack.shape[1]
+                setattr(self, column, value)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in _REPORT_COLUMNS:
+            raise AttributeError(name)
+        value, dtype = _REPORT_COLUMNS[name]
+        n = self.num_vertices
+        column = np.array([value(r, n) for r in self.reports], dtype=dtype)
+        setattr(self, name, column)
+        return column
+
+
 class Rule:
     """A cost rule: telemetry ``name``, the breakdown ``component`` it
     feeds (``"compute"`` is the paper's Tc), the ``resource`` fault
@@ -447,14 +561,17 @@ class Rule:
 class Charged:
     """Where one charge landed: ``[t0, t1)``, ``t1 = t0 + total``; the
     items' seconds after the fault stretch (before ``extra``) and their
-    telemetry span ids (``None`` with telemetry off)."""
+    telemetry span ids (``None`` with telemetry off).  From
+    :meth:`Charge.steps` every field holds one entry per charge, and
+    ``checkpoint`` the checkpoint charges."""
 
-    __slots__ = ("t0", "t1", "total", "seconds", "spans")
+    __slots__ = ("t0", "t1", "total", "seconds", "spans", "checkpoint")
 
     def __init__(self, t0: float, t1: float, total: float,
                  seconds: list[float], spans) -> None:
         self.t0, self.t1, self.total = t0, t1, total
         self.seconds, self.spans = seconds, spans
+        self.checkpoint: Charged | None = None
 
 
 def _lsum(values: list[float]) -> float:
@@ -465,8 +582,30 @@ def _lsum(values: list[float]) -> float:
     return total
 
 
+def _column(x, n: int) -> np.ndarray:
+    """``x`` as a float64 column of ``n`` rows (scalars repeated)."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        return x
+    return np.full(n, x, dtype=np.float64)
+
+
 #: span ids of a charge without telemetry (longer than any charge)
 _NO_SPANS = (None,) * 16
+
+
+def _stacked(charges: list[Charged], spans: bool) -> Charged:
+    """Row-by-row charges as one :class:`Charged` of per-charge arrays."""
+    def column(values) -> np.ndarray:
+        return np.array(values, dtype=np.float64)
+
+    width = len(charges[0].seconds)
+    return Charged(
+        column([c.t0 for c in charges]), column([c.t1 for c in charges]),
+        column([c.total for c in charges]),
+        [column([c.seconds[j] for c in charges]) for j in range(width)],
+        [[c.spans[j] for c in charges] for j in range(width)] if spans
+        else _NO_SPANS,
+    )
 
 
 class Charge:
@@ -474,7 +613,8 @@ class Charge:
 
     :meth:`Platform.run` builds one and passes it to the engine's
     ``_execute``, which computes durations and charges them with
-    :meth:`phase`, and with :meth:`step` inside :meth:`supersteps`.
+    :meth:`phase`, and with :meth:`steps` on each table
+    :meth:`supersteps` yields.
     The charge object owns the clock ``t`` and the ``breakdown`` (so
     ``T = sum(breakdown.values())`` is what the clock charged), the
     ``trace`` engines record node usage in, the telemetry spans, the
@@ -502,6 +642,9 @@ class Charge:
         self._stage = "superstep"
         self._in_loop = False
         self._body_span = False
+        #: charge :meth:`steps` as arrays: a replayed trace with faults
+        #: and telemetry off (set by :meth:`supersteps`)
+        self.arrays = False
 
     def memory_limit(self, configured: float) -> float:
         """The per-worker memory limit under memory-ceiling faults."""
@@ -524,16 +667,20 @@ class Charge:
         name: str,
         totals: tuple[str, ...],
         *,
+        ctx: PartitionContext | None = None,
         stage: str = "superstep",
         body_span: bool = False,
-    ) -> _t.Iterator[SuperstepReport]:
-        """``prog``'s reports under the ``name`` phase span.
+    ) -> _t.Iterator[StepTable]:
+        """``prog``'s supersteps as :class:`StepTable` rows under the
+        ``name`` phase span; the loop body charges each table with
+        :meth:`steps`.
 
-        ``totals`` are the breakdown entries the loop feeds (reported
-        as zero without steps).  After each step body the platform's
-        crash recovery runs and the budget is checked.  With
-        ``body_span`` one superstep span covers the whole body
-        (MapReduce's two jobs per EVO iteration) instead of each step.
+        A replayed trace comes as one table of all its steps (``ctx``'s
+        memo), a live program as a one-row table per step.  ``totals``
+        are the breakdown entries the loop feeds (reported as zero
+        without steps).  With ``body_span`` one superstep span covers
+        each row's charges (MapReduce's two jobs per EVO iteration)
+        instead of each charge.
         """
         for key in totals:
             self.breakdown.setdefault(key, 0.0)
@@ -541,39 +688,226 @@ class Charge:
         if tele is not None:
             tele.begin_span("phase", name, self.t)
         self._in_loop, self._body_span, self._stage = True, body_span, stage
-        for report in prog:
-            self.superstep += 1
-            if body_span and tele is not None:
-                tele.begin_span("superstep", f"superstep {self.superstep}",
-                                self.t, superstep=self.superstep)
-            yield report
-            if body_span and tele is not None:
-                tele.end_span(self.t)
-            if self.faults is not None:
-                self.recover(f"{stage} {self.superstep}")
-            if self.t > self.budget:
-                self._check_budget()
+        n = prog.graph.num_vertices
+        if isinstance(prog, TraceReplay) and prog.superstep == 0:
+            self.arrays = self.faults is None and tele is None
+            table = (ctx.step_table(prog.trace) if ctx is not None
+                     else StepTable(_replayed(prog.trace), None, n))
+            if table.rows:
+                yield table
+        else:
+            self.arrays = False
+            for report in prog:
+                yield StepTable((report,), ctx, n, self.superstep + 1)
         self._in_loop = False
         if tele is not None:
             tele.end_span(self.t)
 
-    def step(
+    def steps(
         self,
+        table: StepTable,
         *items: tuple,
-        slowdown: tuple[str, float] | None = None,
+        crash: tuple | None = None,
+        slowdown: tuple | None = None,
+        checkpoint: tuple | None = None,
+        repeat: int = 1,
         retry: tuple[float, int] | None = None,
         budget: bool = False,
     ) -> Charged:
-        """Charge one superstep.  ``slowdown=(rule, factor)``
-        multiplies the step and charges the added time to ``rule``;
-        ``retry=(startup, nodes)`` re-runs tasks of crashed nodes
-        through the platform's ``_retry_crashed_tasks``; ``budget``
-        checks the timeout right after."""
-        tele = None if self._body_span else self.tele
-        if tele is not None:
-            tele.begin_span("superstep", f"superstep {self.superstep}",
-                            self.t, superstep=self.superstep)
-        return self._close(tele, self._charge(items, slowdown, retry), budget)
+        """Charge one superstep per row of ``table``.
+
+        ``items`` are :meth:`phase` items whose seconds, extras and
+        attribute values are per-row arrays (or one scalar for every
+        row).  Each row, in order:
+
+        * ``crash=(mask, make)``: on the first row whose mask holds,
+          raise ``make(i)`` (``i`` its row index) before charging it;
+        * charge the items ``repeat`` times (MapReduce's jobs per
+          iteration).  ``slowdown=(rule, factor, mask)`` multiplies a
+          masked row's charge and charges the added time to ``rule``;
+          ``retry=(startup, nodes)`` re-runs tasks of crashed nodes
+          through the platform's ``_retry_crashed_tasks``; ``budget``
+          checks the timeout after each charge;
+        * ``checkpoint=(rule, seconds, mask)``: write a checkpoint on
+          masked rows (a later crash restarts from its barrier);
+        * run crash recovery and check the budget.
+
+        With :attr:`arrays` set the rows are charged at once: every
+        per-row quantity is an elementwise IEEE expression over the
+        columns, and the clock and each breakdown entry advance by a
+        sequential ``np.cumsum`` seeded with their current values, so
+        the bits equal the row-by-row charges.  Otherwise each row goes
+        through the same path as :meth:`phase`, with fault stretch,
+        recovery and telemetry.
+
+        Returns a :class:`Charged` of per-charge arrays (``repeat`` per
+        row); its ``checkpoint`` holds the checkpoint charges, of zero
+        length on unmasked rows.
+        """
+        driver = self._array_steps if self.arrays else self._row_steps
+        return driver(table.rows, items, crash, slowdown, checkpoint,
+                      repeat, retry, budget)
+
+    def _array_steps(self, n, items, crash, slowdown, checkpoint, repeat,
+                     retry, budget) -> Charged:
+        # the items' seconds, then their extras among themselves (_charge)
+        total = extra = None
+        groups: dict[str, _t.Any] = {}
+        for item in items:
+            s = item[1]
+            total = s if total is None else total + s
+            if len(item) > 2 and (isinstance(item[2], np.ndarray) or item[2]):
+                extra = item[2] if extra is None else extra + item[2]
+                s = s + item[2]
+            key = item[0].key
+            groups[key] = groups[key] + s if key in groups else s
+        if extra is not None:
+            total = total + extra
+        #: breakdown entries the rows feed: (key, value per row, charges
+        #: per row); entries new to the breakdown are added in the order
+        #: a row-by-row charge would add them
+        feeds = [(key, g, repeat) for key, g in groups.items()]
+        late = []
+        if slowdown is not None and slowdown[2].any():
+            rule, factor, mask = slowdown
+            slowed = total * factor
+            late.append((int(mask.argmax()), 0, rule,
+                         np.where(mask, slowed - total, 0.0), repeat))
+            total = np.where(mask, slowed, total)
+        if checkpoint is not None:
+            ck_rule, ck_seconds, ck_mask = checkpoint
+            ck = np.where(ck_mask, ck_seconds, 0.0)
+            if ck_mask.any():
+                late.append((int(ck_mask.argmax()), 1, ck_rule.key, ck, 1))
+        if late:
+            feeds += [feed[2:] for feed in sorted(late, key=lambda f: f[:2])]
+
+        # One sequential cumsum advances the clock (row 0: a column per
+        # charge, then the checkpoint) and every breakdown entry from
+        # its value; zeros padding a shorter row add exactly nothing.
+        width = repeat + (checkpoint is not None)
+        runs = np.zeros((1 + len(feeds), n * width + 1))
+        breakdown = self.breakdown
+        runs[:, 0] = [self.t] + [breakdown.get(f[0], 0.0) for f in feeds]
+        clock = runs[0]
+        if width == 1:
+            clock[1:] = total
+        else:
+            charges = clock[1:].reshape(n, width)
+            charges[:, :repeat] = (total[:, None]
+                                   if isinstance(total, np.ndarray) else total)
+            if checkpoint is not None:
+                charges[:, repeat] = ck
+        for run, (_, values, per_row) in zip(runs[1:], feeds):
+            if per_row == 1:
+                run[1:n + 1] = values
+            else:
+                run[1:n * per_row + 1].reshape(n, per_row)[:] = (
+                    values[:, None] if isinstance(values, np.ndarray)
+                    else values
+                )
+        runs.cumsum(axis=1, out=runs)
+
+        # the first crash row, the first budget check the clock fails
+        over = (clock[1:] if budget else clock[width::width]) > self.budget
+        timeout = int(over.argmax()) if over.any() else -1
+        timeout_row = timeout // width if budget else timeout
+        if crash is not None and crash[0].any():
+            row = int(crash[0].argmax())
+            if timeout < 0 or row <= timeout_row:
+                self.superstep += row + 1
+                raise crash[1](row)
+        if timeout >= 0:
+            self.superstep += timeout_row + 1
+            self.t = float(clock[timeout + 1] if budget
+                           else clock[(timeout + 1) * width])
+            raise JobTimeout(self.platform.name, self.t, self.budget)
+
+        self.superstep += n
+        self.t = float(clock[-1])
+        for (key, _, _), value in zip(feeds, runs[1:, -1].tolist()):
+            breakdown[key] = value
+        if width == 1:
+            t0, t1 = clock[:-1], clock[1:]
+        else:
+            at = (np.arange(n)[:, None] * width + np.arange(repeat)).ravel()
+            t0, t1 = clock[at], clock[at + 1]
+        total = _column(total, n)
+        if repeat == 1:
+            seconds = [item[1] for item in items]
+        else:
+            total = total.repeat(repeat)
+            seconds = [item[1].repeat(repeat)
+                       if isinstance(item[1], np.ndarray) else item[1]
+                       for item in items]
+        charged = Charged(t0, t1, total, seconds, _NO_SPANS)
+        if checkpoint is not None:
+            charged.checkpoint = Charged(
+                clock[repeat:-1:width], clock[repeat + 1::width], ck, [ck],
+                _NO_SPANS,
+            )
+            if ck_mask.any():
+                last = int(np.flatnonzero(ck_mask)[-1])
+                self.checkpoint_t = float(clock[last * width + repeat + 1])
+        return charged
+
+    def _row_steps(self, n, items, crash, slowdown, checkpoint, repeat,
+                   retry, budget) -> Charged:
+        def per_row(x) -> list:
+            if isinstance(x, (np.ndarray, np.generic)):
+                return x.tolist() if x.ndim else [x.item()] * n
+            return [x] * n
+
+        def item_rows(item) -> list[tuple]:
+            columns = [per_row(x) for x in item[1:3]]
+            if len(item) > 3:
+                attrs = {k: per_row(v) for k, v in item[3].items()}
+                columns.append([{k: v[i] for k, v in attrs.items()}
+                                for i in range(n)])
+            return [(item[0], *values) for values in zip(*columns)]
+
+        row_items = list(zip(*(item_rows(item) for item in items)))
+        crashes = per_row(crash[0]) if crash is not None else [False] * n
+        slowed = per_row(slowdown[2]) if slowdown is not None else [False] * n
+        if slowdown is not None:
+            factors = per_row(slowdown[1])
+        if checkpoint is not None:
+            ck_seconds, ck_mask = per_row(checkpoint[1]), per_row(checkpoint[2])
+        body = self.tele if self._body_span else None
+        step_tele = None if self._body_span else self.tele
+        charges: list[Charged] = []
+        checkpoints: list[Charged] = []
+        for i in range(n):
+            self.superstep += 1
+            if body is not None:
+                body.begin_span("superstep", f"superstep {self.superstep}",
+                                self.t, superstep=self.superstep)
+            if crashes[i]:
+                raise crash[1](i)
+            slow = (slowdown[0], factors[i]) if slowed[i] else None
+            for _ in range(repeat):
+                if step_tele is not None:
+                    step_tele.begin_span(
+                        "superstep", f"superstep {self.superstep}", self.t,
+                        superstep=self.superstep)
+                charges.append(self._close(
+                    step_tele, self._charge(row_items[i], slow, retry),
+                    budget))
+            if checkpoint is not None:
+                checkpoints.append(
+                    self.checkpoint(checkpoint[0], ck_seconds[i])
+                    if ck_mask[i]
+                    else Charged(self.t, self.t, 0.0, [0.0], _NO_SPANS))
+            if body is not None:
+                body.end_span(self.t)
+            if self.faults is not None:
+                self.recover(f"{self._stage} {self.superstep}")
+            if self.t > self.budget:
+                self._check_budget()
+        charged = _stacked(charges, self.tele is not None)
+        if checkpoint is not None:
+            charged.checkpoint = _stacked(checkpoints, self.tele is not None)
+        return charged
 
     def checkpoint(self, rule: Rule, seconds: float) -> Charged:
         """Charge a checkpoint write between supersteps; a later crash
@@ -708,7 +1042,7 @@ class Charge:
         if self.recovery_total > 0.0:
             breakdown["recovery"] = self.recovery_total
         total = float(sum(breakdown.values()))
-        self.trace.end_time = max(self.trace.end_time, total)
+        self.trace.cover(total)
         result = JobResult(
             platform=self.platform.name,
             algorithm=algo.name,

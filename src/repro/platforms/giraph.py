@@ -30,6 +30,8 @@ exactly the OOM crash mechanism of the paper's Section 4.1 cells.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.algorithms.base import Algorithm, SuperstepProgram
 from repro.cluster.hdfs import HDFS
 from repro.cluster.monitoring import MASTER, worker_node
@@ -108,11 +110,6 @@ class Giraph(Platform):
         #: paper's OOM cells, at a steep disk-bandwidth price
         self.out_of_core = bool(out_of_core)
 
-    def _combined(self, value: float, cap: float) -> float:
-        """Post-combiner volume: at most one message per (destination,
-        sending worker) pair."""
-        return min(value, cap) if self.use_combiner else value
-
     def _execute(
         self,
         algo: Algorithm,
@@ -147,10 +144,11 @@ class Giraph(Platform):
             scale.edges(float(ctx.half_edges_per_part.max())) * self.bytes_per_half_edge
             + scale.vertices(float(ctx.vertices_per_part.max())) * self.bytes_per_vertex
         )
-        load_overflow = self._memory_overflow(graph_mem, 0.0, heap, stage="loading")
-        if load_overflow > 0:
+        if graph_mem > heap:
+            if not self.out_of_core:
+                raise self._heap_crash(graph_mem, 0.0, heap, stage="loading")
             # out-of-core loading: stream the overflow through disk
-            load_time += load_overflow / m.disk_write_bps
+            load_time += (graph_mem - heap) / m.disk_write_bps
         # the input superstep is disk-bound HDFS streaming
         load = ch.phase("load", (_INPUT_SUPERSTEP, load_time))
         trace.record(
@@ -165,85 +163,89 @@ class Giraph(Platform):
         # --- phase 3: supersteps ----------------------------------------------
         algo_combinable = getattr(algo, "combinable", False)
         cpu = min(cluster.cores_per_worker / m.cores, 1.0)
-        for report in ch.supersteps(
-            prog, "supersteps", ("compute", "communication", "barrier")
+        num_vertices = max(graph.num_vertices, 1)
+
+        def superstep_records(rows, step, used, num_active,
+                              remote_received_mean, remote_sent_mean):
+            frac_active = num_active / num_vertices
+            # NIC view: only remote-origin messages cross the network
+            # (received_bytes also counts locally-delivered messages,
+            # which fill buffers but never leave the node), streamed
+            # over the whole superstep window.
+            rows.record(
+                rep_worker, step.t0, step.t1,
+                cpu=cpu * np.maximum(frac_active, 0.05),
+                net_in=_per_second(remote_received_mean, step.total),
+                net_out=_per_second(remote_sent_mean, step.total),
+                span=step.spans[1],
+            )
+            rows.record(MASTER, step.t0, step.t1, cpu=0.003, net_in=25e3,
+                        net_out=25e3)
+            rows.set_memory(rep_worker, step.t0,
+                            self.baseline_bytes + np.minimum(used, heap),
+                            span=step.spans[1])
+            if step.checkpoint is not None:
+                ckpt = step.checkpoint
+                rows.record(rep_worker, ckpt.t0, ckpt.t1, cpu=0.1,
+                            net_out=1e5, span=ckpt.spans[0])
+
+        for tab in ch.supersteps(
+            prog, "supersteps", ("compute", "communication", "barrier"),
+            ctx=ctx,
         ):
-            costs = ctx.step_costs(report)
-            # Combiner cap: one merged message per (destination vertex,
-            # sending worker); only for combinable algorithms with a
-            # known receiver count.
-            combine_cap = float("inf")
-            if (
-                self.use_combiner
-                and algo_combinable
-                and report.distinct_receivers is not None
-            ):
-                # per-worker post-combine bound: each worker keeps at
-                # most one merged message per distinct destination
-                combine_cap = scale.vertices(float(report.distinct_receivers)) * 16.0
             # message buffer on the busiest receiver this superstep
-            recv_max = self._combined(float(costs.received_bytes.max()), combine_cap)
-            msg_count_share = float(costs.messages.sum()) / parts
-            if combine_cap != float("inf"):
-                msg_count_share = min(msg_count_share, combine_cap / 16.0)
+            recv_max = tab.received_max
+            remote_sent_max = tab.remote_sent_max
+            msg_count_share = tab.messages_sum / parts
+            if self.use_combiner and algo_combinable:
+                # Combiner cap: one merged message per (destination
+                # vertex, sending worker), for steps with a known
+                # receiver count.  Per worker, each keeps at most one
+                # merged message per distinct destination.
+                combine_cap = np.where(
+                    np.isnan(tab.distinct_receivers), np.inf,
+                    scale.vertices(tab.distinct_receivers) * 16.0,
+                )
+                recv_max = np.minimum(recv_max, combine_cap)
+                remote_sent_max = np.minimum(remote_sent_max, combine_cap)
+                msg_count_share = np.minimum(msg_count_share,
+                                             combine_cap / 16.0)
             msg_mem = (
                 recv_max * self.payload_factor
                 + msg_count_share * self.bytes_per_message
             )
-            overflow = self._memory_overflow(
-                graph_mem, msg_mem, heap, stage=f"superstep {ch.superstep}"
-            )
-            # out-of-core: overflow bytes round-trip the local disk
-            spill = (
-                overflow * (1.0 / m.disk_write_bps + 1.0 / m.disk_read_bps)
-                if overflow > 0 else 0.0
-            )
-            net_bytes = max(
-                self._combined(float(costs.remote_sent_bytes.max()), combine_cap),
-                recv_max,
-            )
-            step = ch.step(
-                (_VERTEX_COMPUTE, float(costs.compute_edges.max()) / (
+            used = graph_mem + msg_mem
+            over = used > heap
+            spill, crash = 0.0, None
+            if over.any():
+                # out-of-core: overflow bytes round-trip the local disk
+                spill = np.where(over, (used - heap) * (
+                    1.0 / m.disk_write_bps + 1.0 / m.disk_read_bps
+                ), 0.0)
+                if not self.out_of_core:
+                    crash = (over, lambda i: self._heap_crash(
+                        graph_mem, msg_mem[i], heap,
+                        stage=f"superstep {ch.superstep}",
+                    ))
+            net_bytes = np.maximum(remote_sent_max, recv_max)
+            step = ch.steps(
+                tab,
+                (_VERTEX_COMPUTE, tab.compute_max / (
                     self.edge_rate * cluster.cores_per_worker
                 )),
                 (_MESSAGE_FLUSH, net_bytes / cluster.network_bps, spill,
                  {"net_bytes": net_bytes}),
                 (_ZK_BARRIER, self.barrier_seconds),
+                crash=crash,
+                # Periodic fault-tolerance checkpoint: dump partition
+                # state and pending messages to HDFS.
+                checkpoint=None if self.checkpoint_interval <= 0 else (
+                    _CHECKPOINT, used / m.disk_write_bps,
+                    tab.number % self.checkpoint_interval == 0,
+                ),
             )
-            frac_active = report.num_active(graph.num_vertices) / max(
-                graph.num_vertices, 1
-            )
-            step_time = step.total
-            # NIC view: only remote-origin messages cross the network
-            # (received_bytes also counts locally-delivered messages,
-            # which fill buffers but never leave the node), streamed
-            # over the whole superstep window.
-            trace.record(
-                rep_worker, step.t0, step.t1,
-                cpu=cpu * max(frac_active, 0.05),
-                net_in=(float(costs.remote_received_bytes.mean()) / step_time
-                        if step_time else 0),
-                net_out=(float(costs.remote_sent_bytes.mean()) / step_time
-                         if step_time else 0),
-                span=step.spans[1],
-            )
-            trace.record(MASTER, step.t0, step.t1, cpu=0.003, net_in=25e3, net_out=25e3)
-            trace.set_memory(
-                rep_worker, step.t0,
-                self.baseline_bytes + min(graph_mem + msg_mem, heap),
-                span=step.spans[1],
-            )
-            # Periodic fault-tolerance checkpoint: dump partition state
-            # and pending messages to HDFS.
-            if (
-                self.checkpoint_interval > 0
-                and ch.superstep % self.checkpoint_interval == 0
-            ):
-                ckpt = ch.checkpoint(
-                    _CHECKPOINT, (graph_mem + msg_mem) / m.disk_write_bps
-                )
-                trace.record(rep_worker, ckpt.t0, ckpt.t1, cpu=0.1,
-                             net_out=1e5, span=ckpt.spans[0])
+            trace.rows(tab.rows, superstep_records, step, used, tab.num_active,
+                       tab.remote_received_mean, tab.remote_sent_mean)
 
         # --- phase 4: write output ----------------------------------------------
         out_bytes = scale.vertices(prog.output_bytes())
@@ -292,20 +294,21 @@ class Giraph(Platform):
             recovered += recovery
         return recovered, t
 
-    def _memory_overflow(
-        self, graph_mem: float, msg_mem: float, heap: float, *, stage: str
-    ) -> float:
-        """Bytes beyond the heap.  Crashes unless out-of-core mode is
-        on, in which case the overflow is returned for spill costing."""
+    def _heap_crash(self, graph_mem: float, msg_mem: float, heap: float,
+                    *, stage: str) -> PlatformCrash:
+        """The crash of a worker whose partition plus message buffers
+        exceed the heap (out-of-core mode spills the overflow instead)."""
         used = graph_mem + msg_mem
-        if used <= heap:
-            return 0.0
-        if self.out_of_core:
-            return used - heap
-        raise PlatformCrash(
+        return PlatformCrash(
             self.name,
             stage,
             f"worker heap exhausted: needs {used / GB:.1f} GB "
             f"(partition {graph_mem / GB:.1f} GB + messages "
             f"{msg_mem / GB:.1f} GB) > {heap / GB:.1f} GB heap",
         )
+
+
+def _per_second(nbytes: np.ndarray, seconds: np.ndarray) -> np.ndarray:
+    """``nbytes / seconds``, 0 for zero-length steps."""
+    return np.divide(nbytes, seconds, out=np.zeros(len(seconds)),
+                     where=seconds != 0)

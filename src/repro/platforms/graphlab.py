@@ -32,6 +32,8 @@ further crashes fail the job.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.algorithms.base import Algorithm, SuperstepProgram
 from repro.cluster.monitoring import MASTER, worker_node
 from repro.cluster.spec import GB, MB, ClusterSpec
@@ -184,46 +186,45 @@ class GraphLab(Platform):
 
         # --- supersteps ----------------------------------------------------------
         cpu = min(cluster.cores_per_worker / m.cores, 1.0)
-        for report in ch.supersteps(
-            prog, "supersteps", ("compute", "communication", "barrier")
-        ):
-            costs = ctx.step_costs(report)
-            msg_mem = float(costs.received_bytes.max()) * 1.2
-            if graph_mem + msg_mem > memory_budget:
-                raise PlatformCrash(
-                    self.name,
-                    f"superstep {ch.superstep}",
-                    f"engine buffers need {(graph_mem + msg_mem) / GB:.1f} GB "
-                    f"> {memory_budget / GB:.1f} GB per worker",
-                )
-            net_bytes = max(
-                float(costs.remote_sent_bytes.max()),
-                float(costs.received_bytes.max()),
-            )
-            step = ch.step(
-                (_GAS_COMPUTE, float(costs.compute_edges.max()) * doubling
-                 / (self.edge_rate * cluster.cores_per_worker)),
-                (_MESSAGE_EXCHANGE, net_bytes / cluster.network_bps),
-                (_ENGINE_BARRIER, self.barrier_seconds),
-            )
-            frac_active = report.num_active(graph.num_vertices) / max(
-                graph.num_vertices, 1
-            )
+        num_vertices = max(graph.num_vertices, 1)
+
+        def superstep_records(rows, step, num_active, remote_sent_max,
+                              remote_received_max):
+            frac_active = num_active / num_vertices
             # NIC view: the greedy (cut-minimizing) placement delivers
             # most gather/scatter traffic locally — only the remote
-            # slice crosses the network.  The time charge above keeps
-            # the calibrated max-shard buffer model.
-            net_wire = max(
-                float(costs.remote_sent_bytes.max()),
-                float(costs.remote_received_bytes.max()),
-            )
-            trace.record(
+            # slice crosses the network.  The time charge keeps the
+            # calibrated max-shard buffer model.
+            net_wire = np.maximum(remote_sent_max, remote_received_max)
+            rate_net = net_wire / np.maximum(step.total, 1e-9)
+            rows.record(
                 rep_worker, step.t0, step.t1,
-                cpu=cpu * max(frac_active, 0.05),
-                net_in=net_wire / max(step.total, 1e-9),
-                net_out=net_wire / max(step.total, 1e-9),
-                span=step.spans[1],
+                cpu=cpu * np.maximum(frac_active, 0.05),
+                net_in=rate_net, net_out=rate_net, span=step.spans[1],
             )
+
+        for tab in ch.supersteps(
+            prog, "supersteps", ("compute", "communication", "barrier"),
+            ctx=ctx,
+        ):
+            msg_mem = tab.received_max * 1.2
+            step = ch.steps(
+                tab,
+                (_GAS_COMPUTE, tab.compute_max * doubling
+                 / (self.edge_rate * cluster.cores_per_worker)),
+                (_MESSAGE_EXCHANGE,
+                 np.maximum(tab.remote_sent_max, tab.received_max)
+                 / cluster.network_bps),
+                (_ENGINE_BARRIER, self.barrier_seconds),
+                crash=(graph_mem + msg_mem > memory_budget, lambda i: PlatformCrash(
+                    self.name,
+                    f"superstep {ch.superstep}",
+                    f"engine buffers need {(graph_mem + msg_mem[i]) / GB:.1f} GB "
+                    f"> {memory_budget / GB:.1f} GB per worker",
+                )),
+            )
+            trace.rows(tab.rows, superstep_records, step, tab.num_active,
+                       tab.remote_sent_max, tab.remote_received_max)
 
         # --- finalize: gather and write results ---------------------------------
         out_bytes = scale.vertices(prog.output_bytes())

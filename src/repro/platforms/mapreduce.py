@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import heapq
 
+import numpy as np
+
 from repro.algorithms.base import Algorithm, SuperstepProgram
 from repro.cluster.hdfs import HDFS
 from repro.cluster.monitoring import MASTER, worker_node
@@ -219,102 +221,103 @@ class MapReduceEngine(Platform):
         contention = 1.0 + 0.05 * (cluster.cores_per_worker - 1)
         cpu = min(cluster.cores_per_worker / m.cores, 1.0)
         jobs = 2 if algo.name in self.two_job_algorithms else 1
-        for report in ch.supersteps(
+        startup = self.job_startup_seconds
+        if self.pin_blocks_to_slots:
+            # paper config: one map task per slot, single wave
+            read = hdfs.parallel_read_seconds(text_bytes, nodes) * contention
+            map_cpu = half_edges_scaled / parts / self.edge_rate
+        else:
+            # block-driven task count: waves over the slots
+            n_tasks = hdfs.num_blocks(text_bytes)
+            per_task_bytes = text_bytes / n_tasks
+            per_task_cpu = half_edges_scaled / n_tasks / self.edge_rate
+            per_task = (
+                per_task_bytes / m.disk_read_bps * contention
+                + per_task_cpu
+            )
+            makespan = self._wave_makespan([per_task] * n_tasks, parts)
+            # keep the read/compute split for the breakdown
+            io_frac = (per_task_bytes / m.disk_read_bps * contention) / per_task
+            read = makespan * io_frac
+            map_cpu = makespan * (1 - io_frac)
+
+        def job_records(rows, job, remote_sent_sum):
+            startup, read, map_cpu, spill, copy, merge, reduce_cpu, write = (
+                job.seconds
+            )
+            copy_span = job.spans[4]
+            # resource trace: idle during startup, busy during phases
+            rows.record(MASTER, job.t0, job.t1, cpu=0.004, net_in=40e3,
+                        net_out=40e3)
+            t_map = job.t0 + startup
+            rows.set_memory(rep_worker, t_map, self.baseline_bytes
+                            + min(self.sort_buffer_bytes + split_bytes * 2, heap))
+            t_shuffle = t_map + read + map_cpu + spill
+            rows.record(rep_worker, t_map, t_shuffle, cpu=cpu, net_in=5e4)
+            t_reduce = t_shuffle + copy + merge
+            rows.record(rep_worker, t_shuffle, t_reduce, cpu=cpu * 0.3,
+                        span=copy_span)
+            # NIC view of the shuffle: only the *remote* slice of the
+            # repartition crosses the network — messages by the hash
+            # cut, graph state by the (nodes-1)/nodes reducer share —
+            # and the fetchers stream it over the whole map-to-merge
+            # window (shuffle overlaps the map phase), not in a
+            # line-rate burst during the copy sub-phase alone.  The
+            # local remainder of per_node_out is disk traffic and is
+            # already charged to spill/copy/merge.
+            per_node_remote = (
+                (text_bytes * (nodes - 1) / nodes + remote_sent_sum)
+                / nodes * contention
+            ).repeat(jobs)
+            shuffle_window = read + map_cpu + spill + copy + merge
+            rate_net = per_node_remote / np.maximum(shuffle_window, 1e-9)
+            rows.record(rep_worker, t_map, t_reduce,
+                        net_in=rate_net, net_out=rate_net, span=copy_span)
+            rows.record(rep_worker, t_reduce, t_reduce + reduce_cpu + write,
+                        cpu=cpu)
+            rows.set_memory(rep_worker, job.t1, self.baseline_bytes)
+
+        for tab in ch.supersteps(
             prog, "iterations",
             ("scheduling", "read", "compute", "map", "reduce", "shuffle", "write"),
-            stage="iteration", body_span=True,
+            ctx=ctx, stage="iteration", body_span=True,
         ):
-            costs = ctx.step_costs(report)
-
             # Reducer record-group memory check (STATS neighbor lists).
-            if report.received_bytes is not None:
-                biggest = scale.per_vertex_degree2(
-                    report.max_received_bytes(graph.num_vertices)
+            crash = None
+            if tab.has_received.any():
+                group_mem = (
+                    scale.per_vertex_degree2(tab.max_received)
+                    * self.record_memory_factor
                 )
-                if biggest * self.record_memory_factor > sort_buffer:
-                    raise PlatformCrash(
-                        self.name,
-                        f"iteration {ch.superstep} reduce",
-                        "in-memory merge exhausted: one vertex's grouped "
-                        f"values need {biggest * self.record_memory_factor / GB:.1f} GB "
-                        f"> {sort_buffer / GB:.1f} GB sort buffer",
-                    )
-
-            msg_bytes = float(costs.sent_bytes.sum())
-            map_out_bytes = text_bytes + msg_bytes  # graph state + messages
-            per_node_out = map_out_bytes / nodes * contention
-
-            for _job in range(jobs):
-                startup = self.job_startup_seconds
-                if self.pin_blocks_to_slots:
-                    # paper config: one map task per slot, single wave
-                    read = hdfs.parallel_read_seconds(text_bytes, nodes) * contention
-                    map_cpu = half_edges_scaled / parts / self.edge_rate
-                else:
-                    # block-driven task count: waves over the slots
-                    n_tasks = hdfs.num_blocks(text_bytes)
-                    per_task_bytes = text_bytes / n_tasks
-                    per_task_cpu = half_edges_scaled / n_tasks / self.edge_rate
-                    per_task = (
-                        per_task_bytes / m.disk_read_bps * contention
-                        + per_task_cpu
-                    )
-                    makespan = self._wave_makespan([per_task] * n_tasks, parts)
-                    # keep the read/compute split for the breakdown
-                    io_frac = (per_task_bytes / m.disk_read_bps * contention) / per_task
-                    read = makespan * io_frac
-                    map_cpu = makespan * (1 - io_frac)
-                # Degradation windows stretch the overlapped phase;
-                # straggler slowdown on the compute phases is capped by
-                # speculative re-execution, and crashed tasks re-run.
-                job = ch.step(
-                    (_STARTUP, startup),
-                    (_HDFS_READ, read),
-                    (_MAP_CPU, map_cpu),
-                    (_SPILL, per_node_out / m.disk_write_bps),
-                    (_COPY, per_node_out / min(cluster.network_bps, m.disk_read_bps)),
-                    (_MERGE, per_node_out / m.disk_read_bps),
-                    (_REDUCE_CPU, half_edges_scaled / parts / self.edge_rate * 0.5),
-                    (_HDFS_WRITE,
-                     hdfs.parallel_write_seconds(text_bytes, nodes) * contention),
-                    retry=(startup, nodes),
-                    budget=True,
-                )
-                startup, read, map_cpu, spill, copy, merge, reduce_cpu, write = (
-                    job.seconds
-                )
-                copy_span = job.spans[4]
-
-                # resource trace: idle during startup, busy during phases
-                trace.record(MASTER, job.t0, job.t1, cpu=0.004, net_in=40e3, net_out=40e3)
-                t_map = job.t0 + startup
-                trace.set_memory(rep_worker, t_map, self.baseline_bytes
-                                 + min(self.sort_buffer_bytes + split_bytes * 2, heap))
-                trace.record(rep_worker, t_map, t_map + read + map_cpu + spill, cpu=cpu,
-                             net_in=5e4)
-                t_shuffle = t_map + read + map_cpu + spill
-                trace.record(rep_worker, t_shuffle, t_shuffle + copy + merge,
-                             cpu=cpu * 0.3, span=copy_span)
-                t_reduce = t_shuffle + copy + merge
-                # NIC view of the shuffle: only the *remote* slice of the
-                # repartition crosses the network — messages by the hash
-                # cut, graph state by the (nodes-1)/nodes reducer share —
-                # and the fetchers stream it over the whole map-to-merge
-                # window (shuffle overlaps the map phase), not in a
-                # line-rate burst during the copy sub-phase alone.  The
-                # local remainder of per_node_out is disk traffic and is
-                # already charged to spill/copy/merge above.
-                remote_msg = float(costs.remote_sent_bytes.sum())
-                per_node_remote = (
-                    (text_bytes * (nodes - 1) / nodes + remote_msg)
-                    / nodes * contention
-                )
-                shuffle_window = read + map_cpu + spill + copy + merge
-                rate_net = per_node_remote / max(shuffle_window, 1e-9)
-                trace.record(rep_worker, t_map, t_reduce,
-                             net_in=rate_net, net_out=rate_net, span=copy_span)
-                trace.record(rep_worker, t_reduce, t_reduce + reduce_cpu + write, cpu=cpu)
-                trace.set_memory(rep_worker, job.t1, self.baseline_bytes)
+                crash = (tab.has_received & (group_mem > sort_buffer),
+                         lambda i: PlatformCrash(
+                    self.name,
+                    f"iteration {ch.superstep} reduce",
+                    "in-memory merge exhausted: one vertex's grouped "
+                    f"values need {group_mem[i] / GB:.1f} GB "
+                    f"> {sort_buffer / GB:.1f} GB sort buffer",
+                ))
+            per_node_out = (text_bytes + tab.sent_sum) / nodes * contention
+            # Degradation windows stretch the overlapped phase;
+            # straggler slowdown on the compute phases is capped by
+            # speculative re-execution, and crashed tasks re-run.
+            job = ch.steps(
+                tab,
+                (_STARTUP, startup),
+                (_HDFS_READ, read),
+                (_MAP_CPU, map_cpu),
+                (_SPILL, per_node_out / m.disk_write_bps),
+                (_COPY, per_node_out / min(cluster.network_bps, m.disk_read_bps)),
+                (_MERGE, per_node_out / m.disk_read_bps),
+                (_REDUCE_CPU, half_edges_scaled / parts / self.edge_rate * 0.5),
+                (_HDFS_WRITE,
+                 hdfs.parallel_write_seconds(text_bytes, nodes) * contention),
+                crash=crash,
+                repeat=jobs,
+                retry=(startup, nodes),
+                budget=True,
+            )
+            trace.rows(len(job.t0), job_records, job, tab.remote_sent_sum)
 
         ch.fold("compute", "map", "reduce")
         return ch.result(algo, prog, graph, cluster)

@@ -147,23 +147,26 @@ class Neo4j(Platform):
         ch.phase("startup", (_QUERY_START, self.query_start_seconds))
         touched = np.zeros(graph.num_vertices, dtype=bool)
         touched_ops_scaled = 0.0
-        for report in ch.supersteps(
+
+        def superstep_records(rows, step):
+            rows.record(node, step.t0, step.t0 + np.maximum(step.total, 1e-9),
+                        cpu=1.0 / m.cores, span=step.spans[0])
+
+        for tab in ch.supersteps(
             prog, "traversal", ("compute", "thrash", "cold_read")
         ):
-            ops_scale = (
-                scale.quadratic_mult
-                if report.compute_quadratic
-                else scale.e_mult
+            step_ops = tab.compute_total * np.where(
+                tab.compute_quadratic, scale.quadratic_mult, scale.e_mult
             )
-            step_ops = float(report.total_compute_edges()) * ops_scale
-            touched_ops_scaled += step_ops
-            report.touch(touched)
-            step = ch.step(
+            touched_ops_scaled = _running_sum(touched_ops_scaled, step_ops)
+            for report in tab.reports:
+                report.touch(touched)
+            step = ch.steps(
+                tab,
                 (_TRAVERSAL_OPS, step_ops / rate),
                 (_CACHE_THRASH, step_ops * p_miss * self.miss_penalty_seconds),
             )
-            trace.record(node, step.t0, step.t0 + max(step.total, 1e-9),
-                         cpu=1.0 / m.cores, span=step.spans[0])
+            trace.rows(tab.rows, superstep_records, step)
 
         if cache == "cold":
             # Lazy reads: only the touched slice of the store comes off
@@ -198,3 +201,13 @@ class Neo4j(Platform):
         hot-cache averages in Figure 1); it parameterizes the cost
         model, not the algorithm."""
         return {"cache": params.pop("cache", "hot")}
+
+
+def _running_sum(start: float, values: np.ndarray) -> float:
+    """``start`` plus each of ``values`` in turn: a sequential
+    ``np.cumsum``, the order of a running total (``np.sum`` is pairwise
+    and would differ in the last bits)."""
+    run = np.empty(len(values) + 1)
+    run[0] = start
+    run[1:] = values
+    return float(np.cumsum(run)[-1])

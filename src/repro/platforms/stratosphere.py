@@ -25,6 +25,8 @@ so far plus a resubmission latency, within a small restart budget.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.algorithms.base import Algorithm, SuperstepProgram
 from repro.cluster.hdfs import HDFS
 from repro.cluster.monitoring import MASTER, worker_node
@@ -111,49 +113,56 @@ class Stratosphere(Platform):
         half_edges_scaled = scale.edges(graph.num_half_edges)
         per_worker_mem = ch.memory_limit(self.memory_budget_bytes)
         cpu = min(cluster.cores_per_worker / m.cores, 1.0)
-        for report in ch.supersteps(
-            prog, "supersteps", ("compute", "communication", "channels")
-        ):
-            costs = ctx.step_costs(report)
-            net_bytes = max(
-                float(costs.remote_sent_bytes.max()),
-                float(costs.received_bytes.max()),
-            )
-            step_comm = net_bytes / cluster.network_bps
-            # Spill handling: intermediates beyond the memory budget do
-            # extra disk round trips per overflow factor.
-            per_worker_state = float(costs.received_bytes.max())
-            spilled = per_worker_state > per_worker_mem
-            if spilled:
-                passes = per_worker_state / per_worker_mem
-                step_comm += passes * per_worker_state / m.disk_write_bps
-                step_comm += passes * per_worker_state / m.disk_read_bps
-            step = ch.step(
-                # Generic dataflow: full sweep regardless of active set
-                # (one parallel task slot per shard).
-                (_RECORD_SWEEP, half_edges_scaled / parts / self.edge_rate),
-                (_NET_TRANSFER, step_comm, 0.0, {"spilled": spilled}),
-                (_CHANNEL_SETUP, self.channel_seconds),
-                slowdown=("spill_gc", self.spill_gc_factor) if spilled else None,
-            )
+
+        def superstep_records(rows, step, net_bytes):
             # NIC view: the PACT plan streams the *whole iteration state*
             # — every record of the workset/solution-set join crosses a
             # network channel twice per iteration (repartition out, result
             # back) regardless of the hash cut, on top of the remote
             # message slice.  That record stream is what makes
             # Stratosphere the heaviest network user in Figure 10; the
-            # time charge above keeps the calibrated max-shard model.
+            # time charge keeps the calibrated max-shard model.
             channel_bytes = (
                 2.0 * (half_edges_scaled / parts) * self.message_channel_bytes
             )
-            rate_net = (channel_bytes + net_bytes) / max(step.total, 1e-9)
-            trace.record(
+            rate_net = (channel_bytes + net_bytes) / np.maximum(step.total, 1e-9)
+            rows.record(
                 rep_worker, step.t0, step.t1,
                 cpu=cpu, net_in=rate_net, net_out=rate_net,
                 span=step.spans[1],
             )
-            trace.record(MASTER, step.t0, step.t1, cpu=0.004,
-                         net_in=120e3, net_out=120e3)
+            rows.record(MASTER, step.t0, step.t1, cpu=0.004,
+                        net_in=120e3, net_out=120e3)
+
+        for tab in ch.supersteps(
+            prog, "supersteps", ("compute", "communication", "channels"),
+            ctx=ctx,
+        ):
+            net_bytes = np.maximum(tab.remote_sent_max, tab.received_max)
+            step_comm = net_bytes / cluster.network_bps
+            # Spill handling: intermediates beyond the memory budget do
+            # extra disk round trips per overflow factor.
+            per_worker_state = tab.received_max
+            spilled = per_worker_state > per_worker_mem
+            if spilled.any():
+                passes = per_worker_state / per_worker_mem
+                step_comm = np.where(
+                    spilled,
+                    step_comm
+                    + passes * per_worker_state / m.disk_write_bps
+                    + passes * per_worker_state / m.disk_read_bps,
+                    step_comm,
+                )
+            step = ch.steps(
+                tab,
+                # Generic dataflow: full sweep regardless of active set
+                # (one parallel task slot per shard).
+                (_RECORD_SWEEP, half_edges_scaled / parts / self.edge_rate),
+                (_NET_TRANSFER, step_comm, 0.0, {"spilled": spilled}),
+                (_CHANNEL_SETUP, self.channel_seconds),
+                slowdown=("spill_gc", self.spill_gc_factor, spilled),
+            )
+            trace.rows(tab.rows, superstep_records, step, net_bytes)
 
         out_bytes = scale.vertices(prog.output_bytes())
         write = ch.phase("write", (

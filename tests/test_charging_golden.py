@@ -8,6 +8,9 @@ and the fault-accounting counters.  The grid is every platform model x
 {bfs, conn, cd, stats, evo} x two tiny datasets x three fault plans
 (none, one crash, a seeded storm), the Giraph and Hadoop option
 variants, and the one Stratosphere cell that spills and still finishes.
+Every golden cell records telemetry, so it is charged row by row; the
+telemetry-off twin of each ``none`` cell is charged as arrays and must
+match it in everything but the telemetry records.
 
 Regenerate after an intended change to the cost models with::
 
@@ -107,8 +110,22 @@ def run_cell(model: str, algorithm: str, dataset: str, scale: str,
     return run(_plan(plan, horizon))
 
 
-def digest(outcome) -> str:
-    """sha256 over every charged output of one run."""
+@functools.lru_cache(maxsize=None)
+def run_untelemetered(model: str, algorithm: str, dataset: str, scale: str):
+    """A ``none``-plan cell with telemetry off: the array-charged run."""
+    factory, kwargs = MODELS[model]
+    algo, graph, trace = _graph_and_trace(algorithm, dataset, scale)
+    with telemetry.enabled(False):
+        try:
+            return factory().run(algo, graph, trace=trace, **kwargs)
+        except (PlatformCrash, JobTimeout) as exc:
+            return exc
+
+
+def digest(outcome, *, telemetry_records: bool = True) -> str:
+    """sha256 over every charged output of one run; without
+    ``telemetry_records`` the telemetry session and the span ids on
+    trace records are left out."""
     h = hashlib.sha256()
 
     def put(*items) -> None:
@@ -123,12 +140,22 @@ def digest(outcome) -> str:
     put([(k, float(v).hex()) for k, v in r.breakdown.items()])
     trace = r.trace
     put(trace.end_time.hex())
-    for key, intervals in sorted(trace._intervals.items()):
-        put(key, [(t0.hex(), t1.hex(), float(value).hex(), span)
-                  for t0, t1, value, span in intervals])
-    for node, events in sorted(trace._memory.items()):
-        put(node, [(float(t).hex(), v.hex(), span) for t, v, span in events])
-    if r.telemetry is not None:
+    def span_id(span):
+        return span if telemetry_records else None
+
+    for node in trace.nodes():
+        for metric in trace.INTERVAL_METRICS:
+            intervals = trace.intervals(node, metric)
+            if intervals:
+                put((node, metric),
+                    [(t0.hex(), t1.hex(), float(value).hex(), span_id(span))
+                     for t0, t1, value, span in intervals])
+    for node in trace.nodes():
+        events = trace.memory_events(node)
+        if events:
+            put(node, [(float(t).hex(), v.hex(), span_id(span))
+                       for t, v, span in events])
+    if r.telemetry is not None and telemetry_records:
         for record in r.telemetry.to_jsonl_dicts():
             record = {k: v for k, v in record.items() if k != "worker_id"}
             put(json.dumps(record, sort_keys=True))
@@ -167,6 +194,22 @@ def test_charged_outputs_match_golden():
     assert sorted(actual) == sorted(golden)
     changed = sorted(k for k in golden if golden[k] != actual[k])
     assert not changed, f"{len(changed)} cells changed: {changed[:20]}"
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+def test_untelemetered_twin_matches(model):
+    """With telemetry off a replayed trace is charged as arrays; every
+    charged output but the telemetry records equals the row-by-row
+    charge of the telemetry-on run."""
+    differ = []
+    for cell in cells():
+        if cell[0] != model or cell[4] != "none":
+            continue
+        on = digest(run_cell(*cell), telemetry_records=False)
+        off = digest(run_untelemetered(*cell[:4]), telemetry_records=False)
+        if on != off:
+            differ.append(cell_id(cell))
+    assert not differ, differ
 
 
 @pytest.mark.parametrize("plan", PLANS)

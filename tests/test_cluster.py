@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.hdfs import HDFS
 from repro.cluster.monitoring import MASTER, ResourceTrace, normalize_series, worker_node
@@ -212,6 +214,127 @@ class TestResourceTrace:
         tr = ResourceTrace()
         tr.record("w0", 0.0, 1.0, cpu=0.5)
         assert tr.attribution("w0", "cpu", 0.5) == [(0.5, 0.0, 1.0, None)]
+
+
+def _trace_state(tr: ResourceTrace):
+    """Everything the public read API shows of a trace."""
+    nodes = tr.nodes()
+    return (
+        nodes,
+        {(n, m): tr.intervals(n, m) for n in nodes
+         for m in ResourceTrace.INTERVAL_METRICS},
+        {n: tr.memory_events(n) for n in nodes},
+        tr.end_time.hex(),
+    )
+
+
+@st.composite
+def _row_calls(draw):
+    n = draw(st.integers(1, 5))
+    times = st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0]), min_size=n,
+                     max_size=n)
+    value = st.one_of(
+        st.sampled_from([0.0, 0.5, 3.0]),
+        st.lists(st.sampled_from([0.0, 0.25, 2.0]), min_size=n, max_size=n),
+    )
+    span = st.one_of(st.none(), st.integers(0, 9),
+                     st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    calls = []
+    for _ in range(draw(st.integers(1, 5))):
+        node = draw(st.sampled_from(["master", "worker0"]))
+        t0 = np.array(draw(times))
+        if draw(st.booleans()):
+            # lengths of zero are dropped like per-row calls drop them
+            t1 = t0 + np.array(draw(times))
+            calls.append(("record", node, t0, t1, draw(value), draw(value),
+                          draw(value), draw(span)))
+        else:
+            calls.append(("memory", node, t0, draw(value), draw(span)))
+    return n, calls
+
+
+class TestRowRecords:
+    """Rows recorded as arrays build the trace per-row calls build."""
+
+    @staticmethod
+    def _row(x, i):
+        """Row ``i`` of a per-row list or array, else ``x`` itself."""
+        if isinstance(x, (list, np.ndarray)):
+            x = x[i]
+        return float(x) if isinstance(x, np.floating) else x
+
+    @staticmethod
+    def _array(x):
+        return np.array(x) if isinstance(x, list) else x
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_row_calls())
+    def test_lazy_rows_equal_eager_calls(self, case):
+        n, calls = case
+        eager, lazy = ResourceTrace(), ResourceTrace()
+        for tr in (eager, lazy):
+            tr.record("worker0", 0.0, 1.0, cpu=0.5, span=7)
+            tr.set_memory("worker0", 0.0, 2.0)
+        for i in range(n):
+            for kind, node, *args in calls:
+                t, *rest = (self._row(x, i) for x in args)
+                if kind == "record":
+                    t1, cpu, net_in, net_out, span = rest
+                    eager.record(node, t, t1, cpu=cpu, net_in=net_in,
+                                 net_out=net_out, span=span)
+                else:
+                    eager.set_memory(node, t, rest[0], span=rest[1])
+
+        def fill(rows):
+            for kind, node, t, *rest in calls:
+                if kind == "record":
+                    t1, cpu, net_in, net_out, span = rest
+                    rows.record(node, t, t1, cpu=self._array(cpu),
+                                net_in=self._array(net_in),
+                                net_out=self._array(net_out), span=span)
+                else:
+                    rows.set_memory(node, t, self._array(rest[0]),
+                                    span=rest[1])
+
+        lazy.rows(n, fill)
+        for tr in (eager, lazy):
+            tr.record("master", 5.0, 6.0, net_out=1.0)
+            tr.set_memory("worker0", 6.0, 1.0)
+        assert _trace_state(lazy) == _trace_state(eager)
+
+    @staticmethod
+    def _rows(tr, t0, t1):
+        tr.rows(len(t0), lambda rows: rows.record(
+            "w0", np.array(t0), np.array(t1), cpu=1.0))
+
+    def test_rows_ending_before_they_start_raise_when_built(self):
+        tr = ResourceTrace()
+        self._rows(tr, [0.0, 2.0], [1.0, 1.5])
+        with pytest.raises(ValueError, match="ends before it starts"):
+            tr.intervals("w0", "cpu")
+
+    def test_rows_are_made_on_first_read(self):
+        tr = ResourceTrace()
+        made = []
+        tr.rows(1, lambda rows: made.append(rows.n))
+        tr.record("w0", 0.0, 1.0, cpu=1.0)
+        assert made == []
+        assert tr.nodes() == ["w0"]
+        assert made == [1]
+
+    def test_end_time_counts_only_positive_length_rows(self):
+        tr = ResourceTrace()
+        self._rows(tr, [0.0, 9.0], [1.0, 9.0])
+        assert tr.end_time == 1.0
+        assert tr.intervals("w0", "cpu") == [(0.0, 1.0, 1.0, None)]
+
+    def test_pickling_builds_the_rows(self):
+        import pickle
+
+        tr = ResourceTrace()
+        self._rows(tr, [0.0], [2.0])
+        copy = pickle.loads(pickle.dumps(tr))
+        assert _trace_state(copy) == _trace_state(tr)
 
 
 class TestNormalizeSeries:
