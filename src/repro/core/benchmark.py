@@ -99,28 +99,51 @@ class BenchmarkGrid:
     ) -> ExperimentResult:
         """A cartesian grid, memoized per cell.
 
-        Only cells missing from the memo execute.  When every cell is
-        missing and more than one worker is requested, the whole sweep
-        dispatches to the parallel executor
-        (:func:`repro.core.sweep.run_sweep`); a partially warm grid
-        fills in-process (the missing subset is rarely grid-shaped).
-        The returned records follow the sweep's canonical cell order
-        either way.
+        Only cells missing from the memo execute (see :meth:`fill`).
+        The returned records follow the sweep's canonical cell order.
         """
         specs = list(sweep.cells())
         num_workers = sweep.workers if workers is None else int(workers)
-        missing = [s for s in specs if s.cell_key() not in self._memo]
-        if num_workers > 1 and len(missing) == len(specs):
-            parallel = self.runner.run_grid(sweep, workers=num_workers)
-            for spec, record in zip(specs, parallel.records):
-                self._memo[spec.cell_key()] = record
-        else:
-            for spec in missing:
-                self._memo[spec.cell_key()] = self.runner.run(spec)
+        self.fill(sweep.name, specs, workers=num_workers)
         exp = ExperimentResult(sweep.name)
         for spec in specs:
             exp.add(self._memo[spec.cell_key()])
         return exp
+
+    def fill(
+        self,
+        name: str,
+        specs: _t.Iterable[RunSpec],
+        *,
+        workers: int,
+        references: _t.Sequence[tuple[Workload, str]] = (),
+    ) -> dict[tuple[str, str], object]:
+        """Run the cells of ``specs`` missing from the memo.
+
+        Every missing cell and every requested ``(workload, dataset)``
+        reference output go to one :func:`repro.core.sweep.run_specs`
+        call, so with more than one worker one process pool serves them
+        all.  Returns the reference outputs, keyed by ``(workload name,
+        dataset)``.
+        """
+        missing: dict[tuple, RunSpec] = {}
+        for spec in specs:
+            key = spec.cell_key()
+            if key not in self._memo:
+                missing.setdefault(key, spec)
+        if not references and (workers == 1 or not missing):
+            for key, spec in missing.items():
+                self._memo[key] = self.runner.run(spec)
+            return {}
+        from repro.core.sweep import run_specs
+
+        exp = run_specs(
+            self.runner, name, list(missing.values()),
+            workers=workers, references=references,
+        )
+        for key, record in zip(missing, exp.records):
+            self._memo[key] = record
+        return exp.references
 
 
 def _normalize_workloads(
@@ -194,6 +217,11 @@ def run_benchmark(
     cells are also checked against the workload's
     :attr:`~repro.core.workloads.Workload.target_wall_budget`; an
     over-budget cell is reported WARN, never FAIL.
+
+    With ``workers > 1`` the whole grid — every workload's missing
+    cells and each (workload, dataset) reference — runs on one process
+    pool (:meth:`BenchmarkGrid.fill`); the report is identical to the
+    serial one.
     """
     from repro import obs
     from repro.platforms.registry import get_platform
@@ -230,23 +258,38 @@ def run_benchmark(
         },
     )
 
+    sweeps: list[tuple[Workload, SweepSpec]] = []
     for wl_name in wl_names:
         wl = get_workload(wl_name)
         report.workload_titles[wl.name] = (
             f"{wl.label} [{wl.algorithm}] — {wl.semantics} validation"
         )
-        sweep = SweepSpec.make(
+        sweeps.append((wl, SweepSpec.make(
             f"{name}:{wl.name}",
             platforms=platform_names,
             algorithms=(wl.algorithm,),
             datasets=dataset_names,
             **wl.params_dict(),
+        )))
+    # In parallel, one pool runs every missing cell of every workload
+    # and computes the references, so its workers keep their partition
+    # and context memos from one workload to the next.
+    references: dict[tuple[str, str], object] = {}
+    if workers > 1:
+        references = grid.fill(
+            name,
+            (spec for _, sweep in sweeps for spec in sweep.cells()),
+            workers=workers,
+            references=[(wl, ds) for wl, _ in sweeps for ds in dataset_names],
         )
+
+    for wl, sweep in sweeps:
         exp = grid.run_sweep(sweep, workers=workers)
         # canonical cell order: dataset-major, then platform
         records = iter(exp.records)
         for ds in dataset_names:
-            reference: object | None = None
+            # the pool's, in parallel; otherwise computed on first use
+            reference = references.get((wl.name, ds))
             for plat in platform_names:
                 rec = next(records)
                 if not rec.ok:

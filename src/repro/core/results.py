@@ -109,6 +109,11 @@ class ExperimentResult:
 
     name: str
     records: list[RunRecord] = dataclasses.field(default_factory=list)
+    #: reference outputs computed alongside the records, keyed by
+    #: ``(workload name, dataset)`` (see :func:`repro.core.sweep.run_specs`)
+    references: dict[tuple[str, str], object] = dataclasses.field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def add(self, record: RunRecord) -> None:
         self.records.append(record)

@@ -125,14 +125,17 @@ def cached_context(
 
 
 def clear_context_caches() -> None:
-    """Drop the process-wide partition and context memos.
+    """Drop the process-wide partition, context and scale-model memos.
 
     Cold-path measurements (benchmarks) need this: the memos are
     process-wide, so any earlier run in the same process pre-warms them
     and a "cold" sweep silently measures the warm path.
     """
+    from repro.platforms.scale import clear_scale_memo
+
     _partition_cache.clear()
     _context_cache.clear()
+    clear_scale_memo()
 
 
 def reset_for_isolation() -> None:

@@ -27,11 +27,22 @@ simulate the graph at face value.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.graph.graph import Graph
 from repro.graph.properties import average_degree
 
-__all__ = ["ScaleModel"]
+__all__ = ["ScaleModel", "clear_scale_memo"]
+
+#: ``ScaleModel.for_graph`` memo: id(graph) -> (graph, name, model).
+#: Like the partition memo it checks identity, and a renamed graph
+#: misses too (the model is derived from the name).
+_memo: dict[int, tuple[Graph, str, "ScaleModel"]] = {}
+
+
+def clear_scale_memo() -> None:
+    """Drop the per-graph ``ScaleModel`` memo."""
+    _memo.clear()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,10 +54,28 @@ class ScaleModel:
     d_mult: float = 1.0
     hub_scaled: bool = False
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.v_mult, self.e_mult, self.d_mult, self.hub_scaled))
+
+    def __hash__(self) -> int:
+        # frozen, and hashed on every context-memo lookup: hash once
+        return self._hash
+
     @classmethod
     def for_graph(cls, graph: Graph) -> "ScaleModel":
         """Derive multipliers by matching ``graph.name`` against the
-        paper's Table 2; identity for unknown graphs."""
+        paper's Table 2; identity for unknown graphs.  Memoized per
+        graph: ``Platform.run`` asks on every call."""
+        entry = _memo.get(id(graph))
+        if entry is not None and entry[0] is graph and entry[1] == graph.name:
+            return entry[2]
+        model = cls._derive(graph)
+        _memo[id(graph)] = (graph, graph.name, model)
+        return model
+
+    @classmethod
+    def _derive(cls, graph: Graph) -> "ScaleModel":
         from repro.datasets.spec import PAPER_SPECS_TABLE2
 
         base = graph.name.split("(")[0].lower()
