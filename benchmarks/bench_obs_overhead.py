@@ -11,9 +11,7 @@ so scheduler noise cancels, and asserts the observability contract:
   only on machines with >= 4 cores; a loaded 1-core container cannot
   measure a 3 % delta above its own noise floor);
 * **profile** — a 4-worker observed sweep yields the worker-utilization
-  gauge and the p50/p99 per-cell wall quantiles that
-  ``bench_snapshot.py`` records into ``BENCH_harness.json`` and
-  ``perf_gate.py`` budgets.
+  gauge and the p50/p99 per-cell wall quantiles.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ def _records_equal(a, b) -> bool:
 
 def measure_harness_observability() -> tuple[dict, str]:
     """Off-vs-on serial walls, identity, and the observed 4-worker
-    profile (shared with bench_snapshot)."""
+    profile."""
     for ds in SWEEP.datasets:
         load_dataset(ds)
     # One unmeasured warmup so every measured sweep sees identical warm

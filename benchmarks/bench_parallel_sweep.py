@@ -57,8 +57,7 @@ def _sweep(workers: int) -> tuple[float, "object"]:
 
 
 def measure_parallel_sweep() -> tuple[dict, str]:
-    """Serial vs 4-worker wall times plus equivalence (shared with
-    bench_snapshot)."""
+    """Serial vs 4-worker wall times plus equivalence."""
     # Datasets are built once up front: both paths would pay synthesis
     # on first touch, and the bench targets the executor, not the
     # generators.

@@ -14,7 +14,7 @@ Reported per worker count (default ``{1, 4}``; ``--quick`` runs one
 2-worker profile for CI):
 
 * p50/p99 latency overall and p99 of the **warm path** (answer-cache
-  hits — the budget ``scripts/perf_gate.py`` enforces);
+  hits);
 * answer-cache hit rate and coalescing ratio;
 * throughput (completed requests per second) and shed/error counts;
 * ``identical`` — the served answer is byte-identical to a direct
@@ -149,7 +149,7 @@ def _identity_check(profile: dict) -> bool:
 
 
 def measure_serve_load(*, quick: bool = False) -> tuple[dict, str]:
-    """Serve-load data shared with bench_snapshot (and the CI smoke)."""
+    """Serve-load data for the benchmark and the CI smoke."""
     if quick:
         worker_counts: tuple[int, ...] = (2,)
         num_requests, interarrival = 48, 0.01

@@ -29,10 +29,9 @@ def fresh_context_memo():
     ``benchmarks/`` directory runs in one process: earlier benchmarks
     pre-warm the memos, so the "cold" sweep was never cold.  Resetting
     before *and* after keeps both this measurement honest and later
-    benchmarks independent of test ordering.  Measurement functions
-    that bench_snapshot also calls directly (outside pytest) should
-    instead call :func:`repro.platforms.registry.reset_for_isolation`
-    themselves, like ``measure_cold_vs_warm`` does.
+    benchmarks independent of test ordering.  Code that measures
+    outside pytest calls
+    :func:`repro.platforms.registry.reset_for_isolation` itself.
     """
     from repro.platforms.registry import reset_for_isolation
 

@@ -34,6 +34,7 @@ bit-identical to the serial path.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import gc
 import resource
@@ -88,6 +89,12 @@ class Runner:
     scale: float = 1.0
     use_trace_cache: bool = True
     trace_cache: TraceCache = dataclasses.field(default_factory=TraceCache)
+    #: step-cost memo counters that sweep workers gathered in their own
+    #: processes, folded back by :mod:`repro.core.sweep`
+    worker_memo_stats: collections.Counter = dataclasses.field(
+        default_factory=collections.Counter,
+        init=False, repr=False, compare=False,
+    )
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
@@ -264,11 +271,14 @@ class Runner:
     # -- observability ---------------------------------------------------------
     def cache_stats(self) -> dict[str, _t.Any]:
         """Trace-cache counters merged with the shared step-cost memo
-        counters of the process-wide partition-context cache."""
+        counters of the process-wide partition-context cache, plus those
+        of the contexts sweep workers built."""
         from repro.platforms.registry import context_memo_stats
 
         stats = self.trace_cache.stats()
         stats.update(context_memo_stats())
+        for key, value in self.worker_memo_stats.items():
+            stats[key] += value
         return stats
 
     # -- grids ----------------------------------------------------------------

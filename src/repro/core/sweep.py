@@ -47,7 +47,11 @@ re-executing the superstep program.
 Worker-side cache counters and telemetry ride back with each cell:
 counter deltas are folded into the parent cache
 (:meth:`TraceCache.merge_counters
-<repro.core.trace_cache.TraceCache.merge_counters>`), and when
+<repro.core.trace_cache.TraceCache.merge_counters>`); each task also
+returns the step-cost memo counters of the contexts it built and used
+(:func:`~repro.platforms.registry.context_memo_stats`), which the
+parent adds to :meth:`Runner.cache_stats
+<repro.core.runner.Runner.cache_stats>`; and when
 telemetry is enabled in the parent each returned
 :class:`~repro.platforms.base.JobResult` carries its recorded session,
 exactly as in a serial run.
@@ -155,32 +159,36 @@ def _reference(workload: "Workload", dataset: str, scale: float) -> object:
 def _run_task(
     task: _Task,
 ) -> tuple[list[tuple[int, RunRecord, dict]], list[tuple[int, object]],
-           dict | None]:
+           dict[str, int], dict | None]:
     """Execute one task in a worker: its cells (one workload batch,
     sharing a trace recording and partition contexts) and its
     reference outputs.
 
-    With observability on, the task records into a fresh per-task
-    session and its snapshot rides back for the parent to absorb — an
-    exact delta, so nothing is double-counted across tasks.
+    Also returns the task's step-cost memo counter deltas.  With
+    observability on, the task records into a fresh per-task session
+    and its snapshot rides back for the parent to absorb — an exact
+    delta, so nothing is double-counted across tasks.
     """
+    from repro.platforms.registry import context_memo_stats
+
     cells, references = task
     runner = _WORKER_RUNNER
     assert runner is not None, "worker initializer did not run"
 
     def work():
-        return (
-            [_run_one(item) for item in cells],
-            [(i, _reference(wl, ds, runner.scale))
-             for i, wl, ds in references],
-        )
+        before = context_memo_stats()
+        results = [_run_one(item) for item in cells]
+        outputs = [(i, _reference(wl, ds, runner.scale))
+                   for i, wl, ds in references]
+        after = context_memo_stats()
+        return results, outputs, {k: after[k] - before[k] for k in after}
 
     if not _WORKER_OBS:
         return (*work(), None)
     session = obs.Observability(role="worker")
     start = time.perf_counter()
     with obs.scoped(session):
-        results, outputs = work()
+        results, outputs, memo = work()
     busy = time.perf_counter() - start
     size = len(cells) + len(references)
     metrics = session.metrics
@@ -192,7 +200,7 @@ def _run_task(
         batch_size=size,
         busy_seconds=round(busy, 6),
     )
-    return results, outputs, session.snapshot()
+    return results, outputs, memo, session.snapshot()
 
 
 def _workload_tasks(
@@ -358,12 +366,13 @@ def run_specs(
             initializer=_init_worker,
             initargs=(config,),
         ) as pool:
-            for batch, outputs, snapshot in pool.map(
+            for batch, outputs, memo, snapshot in pool.map(
                 _run_task, tasks, chunksize=1
             ):
                 for index, record, delta in batch:
                     results[index] = record
                     cache.merge_counters(delta)
+                runner.worker_memo_stats.update(memo)
                 for index, output in outputs:
                     wl, ds = references[index]
                     exp.references[wl.name, ds] = output

@@ -361,9 +361,9 @@ class TraceCache:
         Long-lived processes (the serve layer, a benchmark session) keep
         this cache warm by design; a cold-path measurement taken in the
         same process silently measures the warm path instead.  Callers
-        that need a genuine cold start — ``benchmarks/bench_trace_cache``
-        and friends — ask for it explicitly here rather than relying on
-        fixture ordering.  Unlike :meth:`clear`, this also detaches the
+        that need a genuine cold start — the cold grids of
+        ``perfbench/`` — ask for it explicitly here rather than relying
+        on fixture ordering.  Unlike :meth:`clear`, this also detaches the
         spill directory's influence by removing any spilled recordings,
         so a disk hit cannot masquerade as a cold recording.
         """

@@ -10,7 +10,8 @@ needs on top of it — HTTP and background sweep jobs
 (:mod:`~repro.serve.admission`), request coalescing and micro-batching
 (:mod:`~repro.serve.batching`), and a warm answer cache
 (:mod:`~repro.serve.cache`).  ``graphbench serve`` is the CLI entry
-point; ``benchmarks/bench_serve_load.py`` is the load harness.
+point.  ``benchmarks/bench_serve_load.py`` is the open-loop load
+smoke; the ``serve-whatif`` workload of ``perfbench/`` measures it.
 """
 
 from repro.serve.admission import AdmissionController

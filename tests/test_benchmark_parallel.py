@@ -72,6 +72,15 @@ class TestSerialEqualsParallel:
         # one pool for the whole grid, not one per workload
         assert session.events.by_kind()["sweep_started"] == 1
 
+    def test_cache_stats_count_the_workers_contexts(self, serial):
+        parallel = _run(2)
+
+        def lookups(stats):
+            return stats["step_memo_hits"] + stats["step_memo_misses"]
+
+        assert lookups(parallel.cache_stats) == lookups(serial.cache_stats)
+        assert parallel.cache_stats["contexts"] > 0
+
     def test_partially_warm_grid_fills_through_the_pool(self, serial):
         runner = Runner(scale=serial.scale, seed=202)
         grid = BenchmarkGrid(runner)

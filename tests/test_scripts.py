@@ -2,6 +2,7 @@
 the scripts themselves take tens of minutes)."""
 
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -48,231 +49,110 @@ class TestMakeExperiments:
         assert "simulated seconds" in mod.HEADER
 
 
-class TestBenchSnapshot:
-    def test_helpers_import(self):
-        mod = _load("bench_snapshot")
-        assert callable(mod.main)
-        assert callable(mod.collect_snapshot)
-
-    def test_bench_measure_functions_exist(self):
-        # The script reuses the benches' measure functions — keep the
-        # contract visible here so a bench refactor cannot silently
-        # break the CI snapshot.
-        mod = _load("bench_snapshot")
-        mod._ensure_benchmarks_importable()
-        from benchmarks.bench_kernels import measure_kernels, render_kernels
-        from benchmarks.bench_sparse_reports import (
-            measure_sparse_vs_dense,
-            render_sparse_vs_dense,
-        )
-        from benchmarks.bench_serve_load import measure_serve_load
-        from benchmarks.bench_trace_cache import measure_cold_vs_warm
-
-        assert callable(measure_sparse_vs_dense)
-        assert callable(render_sparse_vs_dense)
-        assert callable(measure_cold_vs_warm)
-        assert callable(measure_kernels)
-        assert callable(render_kernels)
-        assert callable(measure_serve_load)
-
-    def test_cores_recorded(self):
-        mod = _load("bench_snapshot")
-        assert mod._available_cores() >= 1
+def _bench():
+    return json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
 
 
-def _snapshot(*, cores=8, wall=1.0, ratio=4.0,
-              identical=True, validated=True, obs_identical=True,
-              overhead=0.01, utilization=0.9, warm_p99=0.01,
-              serve_identical=True):
-    """A minimal schema-5 document exercising every gate budget."""
-    micro = {
-        name: {"active_ms": wall}
-        for name in (
-            "part_bincount", "comm_degrees", "cut_count",
-            "gather_neighbors", "gather_with_sources", "scatter_min",
-            "ldg_assign",
-        )
-    }
-    return {
-        "schema": 5,
-        "cores": cores,
-        "trace_cache": {
-            "cold_seconds": wall, "warm_seconds": wall, "speedup": ratio,
-        },
-        "sparse_reports": {
-            "sparse_wall": wall, "wall_ratio": ratio, "memory_ratio": 80.0,
-        },
-        "parallel_sweep": {
-            "cores": cores, "speedup": ratio, "identical": identical,
-        },
-        "kernels": {"micro": micro},
-        "benchmark_mode": {
-            "wall_seconds": wall,
-            "cache_stats": {"record_seconds": wall},
-            "summary": {"all_validated": validated},
-        },
-        "benchmark_mode_xs": {
-            "wall_seconds": wall,
-            "summary": {"all_validated": validated},
-        },
-        "harness_observability": {
-            "cells": 8,
-            "off_seconds": wall,
-            "on_seconds": wall * (1.0 + overhead),
-            "overhead_fraction": overhead,
-            "identical": obs_identical,
-            "utilization": utilization,
-            "cell_wall_p50_seconds": wall / 10.0,
-            "cell_wall_p99_seconds": wall,
-            "events": 100,
-            "cores": cores,
-        },
-        "serve": {
-            "cells": 6,
-            "warm_p99_seconds": warm_p99,
-            "identical": serve_identical,
-        },
-    }
+def _run(*, correct=True, attempted=100, failed=0, scale=1.0, layer=1.0):
+    """A perfbench result line: every end-to-end metric ``scale`` times
+    a nominal value, every per-layer metric ``layer`` times 0.1."""
+    bench = _bench()
+    metrics = {m["name"]: {"value": 10.0 * scale, "unit": m["unit"]}
+               for m in bench["end_to_end"]}
+    metrics.update({m["name"]: {"value": 0.1 * layer, "unit": m["unit"]}
+                    for m in bench["per_layer"]})
+    return {"correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": metrics}
 
 
-class TestPerfGate:
-    def test_identical_snapshots_pass(self):
-        mod = _load("perf_gate")
-        assert mod.run_gate(_snapshot(), _snapshot()) == []
+def _judge(base=None, head=None, base_traced=None, head_traced=None):
+    mod = _load("perf_ab")
+    pairs = mod.PAIRS
+    verdicts = mod.judge(
+        _bench(),
+        base or [_run() for _ in range(pairs)],
+        head or [_run() for _ in range(pairs)],
+        base_traced or _run(), head_traced or _run(),
+    )
+    return {v.subject: v.verdict for v in verdicts}
 
-    def test_wall_regression_fails(self):
-        mod = _load("perf_gate")
-        current = _snapshot(wall=10.0)  # 10x the baseline, over 2.5x budget
-        failures = mod.run_gate(current, _snapshot(wall=1.0))
-        assert any("trace_cache.cold_seconds" in f for f in failures)
-        assert any("benchmark_mode_xs.wall_seconds" in f for f in failures)
-        assert any("kernels.micro.ldg_assign.active_ms" in f for f in failures)
 
-    def test_ratio_collapse_fails_on_big_machines(self):
-        mod = _load("perf_gate")
-        failures = mod.run_gate(_snapshot(ratio=1.0), _snapshot(ratio=4.0))
-        for path in ("trace_cache.speedup", "sparse_reports.wall_ratio",
-                     "parallel_sweep.speedup"):
-            assert any(path in f for f in failures), path
+class TestPerfAB:
+    """The A/B gate's decision rule, fed synthetic perfbench results."""
 
-    def test_ratio_budgets_skipped_below_four_cores(self):
-        # Mirrors bench_parallel_sweep: a 1-core machine cannot
-        # reproduce parallel ratios, so only walls stay enforced.
-        mod = _load("perf_gate")
-        failures = mod.run_gate(
-            _snapshot(ratio=1.0, cores=1), _snapshot(ratio=4.0)
-        )
-        assert failures == []
+    def test_identical_runs_pass(self):
+        verdicts = _judge()
+        assert set(verdicts.values()) <= {"PASS", "-"}
+        for metric in _bench()["end_to_end"]:
+            assert verdicts[metric["name"]] == "PASS"
 
-    def test_correctness_flags_never_skipped(self):
-        mod = _load("perf_gate")
-        failures = mod.run_gate(
-            _snapshot(cores=1, identical=False, validated=False),
-            _snapshot(cores=1),
-        )
-        assert any("parallel_sweep.identical" in f for f in failures)
-        assert any("all_validated" in f for f in failures)
+    def test_worse_beyond_bound_with_tight_spread_fails(self):
+        # lower-better metrics 40 % up, higher-better ones 40 % down
+        head = [_run(scale=1.4) for _ in range(5)]
+        verdicts = _judge(head=head)
+        for metric in _bench()["end_to_end"]:
+            if metric["better"] == "lower":
+                assert verdicts[metric["name"]] == "FAIL", metric["name"]
+            else:
+                assert verdicts[metric["name"]] == "PASS", metric["name"]
+        verdicts = _judge(head=[_run(scale=0.6) for _ in range(5)])
+        assert verdicts["cells_per_s"] == "FAIL"
+        assert verdicts["latency_p50_ms"] == "PASS"
 
-    def test_old_schema_baseline_skips_missing_metrics(self):
-        mod = _load("perf_gate")
-        baseline = _snapshot()
-        del baseline["kernels"]
-        del baseline["benchmark_mode_xs"]
-        assert mod.run_gate(_snapshot(), baseline) == []
+    def test_worse_within_bound_passes(self):
+        verdicts = _judge(head=[_run(scale=1.1) for _ in range(5)])
+        assert verdicts["latency_p50_ms"] == "PASS"
+        assert verdicts["cells_per_s"] == "PASS"
 
-    def test_metric_missing_from_current_fails(self):
-        mod = _load("perf_gate")
-        current = _snapshot()
-        del current["kernels"]
-        failures = mod.run_gate(current, _snapshot())
-        assert any("missing from current snapshot" in f for f in failures)
+    def test_wide_base_spread_is_unresolved(self):
+        base = [_run(scale=s) for s in (0.5, 0.7, 1.0, 1.3, 1.6)]
+        head = [_run(scale=1.4) for _ in range(5)]
+        verdicts = _judge(base=base, head=head)
+        assert verdicts["latency_p50_ms"] == "UNRESOLVED"
+        assert verdicts["cells_per_s"] == "UNRESOLVED"
 
-    def test_obs_overhead_ceiling_fails(self):
-        # The overhead budget is an absolute ceiling, not
-        # baseline-relative: a cheap baseline cannot excuse 5 %.
-        mod = _load("perf_gate")
-        failures = mod.run_gate(_snapshot(overhead=0.05), _snapshot())
-        assert any(
-            "harness_observability.overhead_fraction" in f for f in failures
-        )
+    def test_wide_spread_resolves_when_every_head_run_is_better(self):
+        base = [_run(scale=s) for s in (1.0, 1.3, 1.6, 1.9, 2.2)]
+        head = [_run(scale=0.9) for _ in range(5)]
+        verdicts = _judge(base=base, head=head)
+        assert verdicts["latency_p50_ms"] == "PASS"
+        assert verdicts["cells_per_s"] == "UNRESOLVED"
 
-    def test_obs_overhead_skipped_below_four_cores(self):
-        mod = _load("perf_gate")
-        failures = mod.run_gate(
-            _snapshot(overhead=0.5, cores=1), _snapshot()
-        )
-        assert not any("overhead_fraction" in f for f in failures)
+    def test_incorrect_run_fails(self):
+        head = [_run() for _ in range(4)] + [_run(correct=False)]
+        assert _judge(head=head)["correct"] == "FAIL"
+        assert _judge(base_traced=_run(correct=False))["correct"] == "FAIL"
 
-    def test_obs_utilization_skipped_below_four_cores(self):
-        mod = _load("perf_gate")
-        failures = mod.run_gate(
-            _snapshot(utilization=0.1, cores=1), _snapshot()
-        )
-        assert not any("utilization" in f for f in failures)
+    def test_crashed_run_fails_without_metrics(self):
+        crashed = {"correct": False, "attempted": 0, "failed": 0,
+                   "metrics": {}}
+        verdicts = _judge(head_traced=crashed)
+        assert verdicts["correct"] == "FAIL"
+        assert "cells_per_s" not in verdicts
 
-    def test_obs_identity_flag_never_skipped(self):
-        mod = _load("perf_gate")
-        failures = mod.run_gate(
-            _snapshot(cores=1, obs_identical=False), _snapshot(cores=1)
-        )
-        assert any("harness_observability.identical" in f for f in failures)
+    def test_higher_failed_share_fails(self):
+        head = [_run() for _ in range(4)] + [_run(failed=1)]
+        assert _judge(head=head)["failed share"] == "FAIL"
+        # the same share on both sides is no regression
+        base = [_run(failed=1)] + [_run() for _ in range(4)]
+        assert _judge(base=base, head=head)["failed share"] == "PASS"
 
-    def test_obs_metrics_missing_from_current_fails(self):
-        mod = _load("perf_gate")
-        current = _snapshot()
-        del current["harness_observability"]
-        failures = mod.run_gate(current, _snapshot())
-        assert any(
-            "harness_observability" in f and "missing from current" in f
-            for f in failures
-        )
+    def test_layer_over_wall_tolerance_fails(self):
+        mod = _load("perf_ab")
+        slow = _run(layer=mod.WALL_TOLERANCE * 1.2)
+        verdicts = _judge(head_traced=slow)
+        assert verdicts["charge.self_s"] == "FAIL"
+        assert verdicts["kernels.ldg_assign.s"] == "FAIL"
+        # counts and whole-run walls are printed, not gated
+        assert verdicts["charge.calls"] == "-"
+        assert verdicts["traced_wall_s"] == "-"
+        assert _judge(head_traced=_run(layer=2.0))["charge.self_s"] == "PASS"
 
-    def test_obs_missing_from_baseline_skips(self):
-        # a schema-3 baseline predates the observability section
-        mod = _load("perf_gate")
-        baseline = _snapshot()
-        del baseline["harness_observability"]
-        assert mod.run_gate(_snapshot(), baseline) == []
-
-    def test_serve_warm_p99_ceiling_fails(self):
-        # Absolute ceiling: a slow warm path fails regardless of what
-        # the baseline measured.
-        mod = _load("perf_gate")
-        failures = mod.run_gate(_snapshot(warm_p99=1.5), _snapshot())
-        assert any("serve.warm_p99_seconds" in f for f in failures)
-
-    def test_serve_warm_p99_skipped_below_four_cores(self):
-        mod = _load("perf_gate")
-        failures = mod.run_gate(
-            _snapshot(warm_p99=1.5, cores=1), _snapshot()
-        )
-        assert not any("warm_p99" in f for f in failures)
-
-    def test_serve_identity_flag_never_skipped(self):
-        mod = _load("perf_gate")
-        failures = mod.run_gate(
-            _snapshot(cores=1, serve_identical=False), _snapshot(cores=1)
-        )
-        assert any("serve.identical" in f for f in failures)
-
-    def test_serve_missing_from_baseline_skips(self):
-        # a schema-4 baseline predates the serving layer
-        mod = _load("perf_gate")
-        baseline = _snapshot()
-        del baseline["serve"]
-        assert mod.run_gate(_snapshot(), baseline) == []
-
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        import json
-
-        mod = _load("perf_gate")
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps(_snapshot()))
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(_snapshot(wall=10.0)))
-        assert mod.main([str(good), str(good)]) == 0
-        assert mod.main([str(bad), str(good)]) == 1
-        capsys.readouterr()
+    def test_layer_below_ten_ms_is_not_gated(self):
+        # base 5 ms: too short to time once, so 10x reads "-"
+        verdicts = _judge(base_traced=_run(layer=0.05),
+                          head_traced=_run(layer=0.5))
+        assert verdicts["charge.self_s"] == "-"
 
 
 class TestExportFigures:
