@@ -35,7 +35,7 @@ from repro.algorithms.base import (
 )
 from repro.algorithms.bfs import BFS, bfs_levels
 from repro.algorithms.cd import CD, community_detection_labels
-from repro.algorithms.conn import CONN, connected_components_labels
+from repro.algorithms.conn import CONN
 from repro.algorithms.evo import EVO
 from repro.algorithms.stats import STATS, graph_statistics
 
@@ -52,7 +52,6 @@ __all__ = [
     "SuperstepReport",
     "bfs_levels",
     "community_detection_labels",
-    "connected_components_labels",
     "get_algorithm",
     "graph_statistics",
 ]

@@ -25,14 +25,7 @@ from repro.algorithms.base import (
 from repro.graph.graph import Graph
 from repro.kernels.dispatch import gather_with_sources, scatter_min
 
-__all__ = ["CONN", "ConnProgram", "connected_components_labels"]
-
-
-def connected_components_labels(graph: Graph) -> np.ndarray:
-    """Reference result: min-vertex-id label per weak component."""
-    from repro.graph.properties import connected_component_labels
-
-    return connected_component_labels(graph)
+__all__ = ["CONN", "ConnProgram"]
 
 
 class ConnProgram(SuperstepProgram):

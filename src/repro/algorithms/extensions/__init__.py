@@ -22,9 +22,9 @@ Importing this package registers all six with
 
 from repro.algorithms.extensions.diameter import DIAMETER, estimate_diameter
 from repro.algorithms.extensions.mis import MIS, maximal_independent_set
-from repro.algorithms.extensions.pagerank import PAGERANK, pagerank_vector
+from repro.algorithms.extensions.pagerank import PAGERANK
 from repro.algorithms.extensions.sampling import SAMPLING, random_walk_sample
-from repro.algorithms.extensions.sssp import SSSP, shortest_path_lengths
+from repro.algorithms.extensions.sssp import SSSP
 from repro.algorithms.extensions.triangles import TRIANGLES, triangle_count
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "TRIANGLES",
     "estimate_diameter",
     "maximal_independent_set",
-    "pagerank_vector",
     "random_walk_sample",
-    "shortest_path_lengths",
     "triangle_count",
 ]

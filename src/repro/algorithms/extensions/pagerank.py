@@ -19,34 +19,7 @@ from repro.algorithms.base import (
 )
 from repro.graph.graph import Graph
 
-__all__ = ["PAGERANK", "PageRankProgram", "pagerank_vector"]
-
-
-def pagerank_vector(
-    graph: Graph,
-    *,
-    damping: float = 0.85,
-    iterations: int = 30,
-    tolerance: float = 0.0,
-) -> np.ndarray:
-    """Reference PageRank via repeated sparse mat-vec."""
-    n = graph.num_vertices
-    if n == 0:
-        return np.zeros(0)
-    ranks = np.full(n, 1.0 / n)
-    out_deg = np.asarray(graph.out_degree(), dtype=np.float64)
-    adj_in = graph.to_scipy("in")
-    dangling_mask = out_deg == 0
-    for _ in range(iterations):
-        share = np.where(dangling_mask, 0.0, ranks / np.maximum(out_deg, 1.0))
-        incoming = np.asarray(adj_in @ share).ravel()
-        dangling = float(ranks[dangling_mask].sum()) / n
-        new = (1.0 - damping) / n + damping * (incoming + dangling)
-        delta = float(np.abs(new - ranks).sum())
-        ranks = new
-        if tolerance and delta < tolerance:
-            break
-    return ranks
+__all__ = ["PAGERANK", "PageRankProgram"]
 
 
 class PageRankProgram(SuperstepProgram):

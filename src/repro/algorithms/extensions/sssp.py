@@ -21,7 +21,7 @@ from repro.algorithms.base import (
 from repro.graph.graph import Graph
 from repro.kernels.dispatch import gather_with_sources, scatter_min
 
-__all__ = ["SSSP", "SsspProgram", "shortest_path_lengths", "edge_weights"]
+__all__ = ["SSSP", "SsspProgram", "edge_weights"]
 
 
 def edge_weights(
@@ -34,22 +34,6 @@ def edge_weights(
         ^ dst.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
     )
     return ((mix >> np.uint64(33)) % np.uint64(max_weight)).astype(np.float64) + 1.0
-
-
-def shortest_path_lengths(
-    graph: Graph, source: int, *, max_weight: int = 8
-) -> np.ndarray:
-    """Reference SSSP via scipy's Dijkstra on the weighted adjacency."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    n = graph.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.out_indptr))
-    dst = graph.out_indices.astype(np.int64)
-    w = edge_weights(src, dst, max_weight=max_weight)
-    adj = csr_matrix((w, (src, dst)), shape=(n, n))
-    dist = dijkstra(adj, directed=True, indices=source)
-    return dist
 
 
 class SsspProgram(SuperstepProgram):

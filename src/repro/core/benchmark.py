@@ -14,9 +14,9 @@ grid of experiment cells.  This module owns that grid:
   identity, never from grid position or execution order).
 * :func:`run_benchmark` — the ``graphbench benchmark`` driver: run the
   requested workloads over platforms x datasets at a named scale
-  factor, validate every completed cell's output against an
-  independently computed reference
-  (:func:`~repro.core.workloads.reference_output`), and assemble a
+  factor, validate every completed cell's output against a reference
+  output (:func:`~repro.core.workloads.reference_output`; independent
+  of the programs for the core six), and assemble a
   :class:`~repro.core.report.BenchmarkReport`.
 
 Platform groupings (:data:`DISTRIBUTED_PLATFORMS`,
@@ -209,9 +209,10 @@ def run_benchmark(
 
     For every requested workload, the full platforms x datasets grid
     executes through a shared :class:`BenchmarkGrid`; each completed
-    cell's output is validated against a reference computed by an
-    independent algorithm execution (`not` the cached trace the
-    platforms replayed), under the workload's declared semantics.
+    cell's output is validated against
+    :func:`~repro.core.workloads.reference_output` (never the cached
+    trace the platforms replayed), under the workload's declared
+    semantics.
     Crashed and DNF cells appear in the report's failure list — they
     produce no output, so they get no validation verdict.  Completed
     cells are also checked against the workload's

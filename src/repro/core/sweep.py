@@ -304,10 +304,13 @@ def run_specs(
         # Load the named datasets once in the parent: forked workers
         # inherit the built graphs copy-on-write instead of each
         # re-synthesizing them.  Likewise scipy.sparse, which the
-        # algorithms import lazily: the import (about 0.2 s on a 2-core
-        # x86 VM) would otherwise land inside one cell of every worker
-        # of every pool.
+        # algorithms import lazily, and scipy.sparse.csgraph, which the
+        # reference outputs (repro.core.references) use: the imports
+        # (about 0.2 s and 0.1 s on a 2-core x86 VM) would otherwise
+        # land inside a cell or reference task of every worker of
+        # every pool.
         import scipy.sparse  # noqa: F401
+        import scipy.sparse.csgraph  # noqa: F401
 
         from repro.datasets.registry import load_dataset
 

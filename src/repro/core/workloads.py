@@ -350,12 +350,25 @@ def reference_output(
 ) -> object:
     """The workload's reference output for ``graph``.
 
-    Runs the algorithm's reference path (an independent program
-    execution, *not* the benchmark's cached trace) so validation
-    compares two separately produced outputs.
+    The core six (``bfs``, ``wcc``, ``cdlp``, ``pr``, ``sssp``, ``lcc``)
+    are computed by :mod:`repro.core.references` from the graph's CSR
+    arrays with scipy's sparse and ``csgraph`` routines, sharing no
+    code with the superstep programs, so a wrong program FAILs its
+    cells.  The other five (``stats``, ``evo``, ``mis``, ``sampling``,
+    ``diameter``) still re-run their own program
+    (:meth:`~repro.algorithms.base.Algorithm.run_reference`): that
+    check catches nondeterminism and replay corruption, not a wrong
+    algorithm.
     """
+    # imported on first use: scipy.sparse.csgraph takes about 0.1 s to
+    # import, which every command importing this module would pay
+    from repro.core.references import REFERENCES
+
+    merged = {**workload.params_dict(), **params}
+    reference = REFERENCES.get(workload.name)
+    if reference is not None:
+        return reference(graph, **merged)
     from repro.algorithms.base import get_algorithm
 
     algo = get_algorithm(workload.algorithm)
-    merged = {**workload.params_dict(), **params}
     return algo.run_reference(graph, **merged).output

@@ -1,11 +1,12 @@
 """Tests for CONN (connected components by min-label propagation)."""
 
 import networkx as nx
-import numpy as np
 import pytest
 
 from repro.algorithms import get_algorithm
-from repro.algorithms.conn import ConnProgram, connected_components_labels
+from repro.algorithms.conn import ConnProgram
+from repro.core import references
+from repro.core.workloads import validate_equivalence
 from repro.graph.builder import empty_graph, from_edges
 
 
@@ -26,9 +27,7 @@ class TestConnProgram:
         prog = ConnProgram(random_graph)
         for _ in prog:
             pass
-        assert np.array_equal(
-            prog.result(), connected_components_labels(random_graph)
-        )
+        assert validate_equivalence(references.wcc(random_graph), prog.result())
 
     def test_matches_networkx(self, random_digraph):
         prog = ConnProgram(random_digraph)

@@ -7,6 +7,7 @@ import pytest
 
 import repro.algorithms.extensions as ext
 from repro.algorithms.base import get_algorithm
+from repro.core import references
 from repro.platforms import get_platform
 
 EXTENSION_NAMES = ("pagerank", "sssp", "triangles", "diameter", "mis", "sampling")
@@ -25,20 +26,20 @@ class TestRegistration:
 
 class TestPageRank:
     def test_matches_networkx(self, random_graph):
-        ours = ext.pagerank_vector(random_graph, iterations=60)
+        ours = references.pagerank(random_graph, iterations=60)
         theirs = nx.pagerank(random_graph.to_networkx(), alpha=0.85)
         vec = np.array([theirs[v] for v in range(random_graph.num_vertices)])
         assert np.corrcoef(ours, vec)[0, 1] > 0.999
 
     def test_sums_to_one(self, random_digraph):
-        ours = ext.pagerank_vector(random_digraph, iterations=60)
+        ours = references.pagerank(random_digraph, iterations=60)
         assert ours.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_program_matches_reference(self, random_graph):
         prog = ext.pagerank.PageRankProgram(random_graph, iterations=15)
         for _ in prog:
             pass
-        ref = ext.pagerank_vector(random_graph, iterations=15)
+        ref = references.pagerank(random_graph, iterations=15)
         assert np.allclose(prog.result(), ref)
 
     def test_converges_early_with_tolerance(self, path_graph):
@@ -49,7 +50,7 @@ class TestPageRank:
         assert n < 500
 
     def test_dangling_mass_redistributed(self, tiny_directed):
-        ours = ext.pagerank_vector(tiny_directed, iterations=80)
+        ours = references.pagerank(tiny_directed, iterations=80)
         assert ours.sum() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -58,14 +59,14 @@ class TestSssp:
         prog = get_algorithm("sssp").program(random_digraph, source=3)
         for _ in prog:
             pass
-        ref = ext.shortest_path_lengths(random_digraph, 3)
+        ref = references.sssp(random_digraph, source=3)
         assert np.allclose(prog.result(), ref)
 
     def test_undirected(self, random_graph):
         prog = get_algorithm("sssp").program(random_graph, source=0)
         for _ in prog:
             pass
-        ref = ext.shortest_path_lengths(random_graph, 0)
+        ref = references.sssp(random_graph, source=0)
         assert np.allclose(prog.result(), ref)
 
     def test_unreached_is_inf(self, tiny_undirected):

@@ -5,8 +5,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.extensions.mis import maximal_independent_set
-from repro.algorithms.extensions.sssp import edge_weights, shortest_path_lengths
+from repro.algorithms.extensions.sssp import edge_weights
 from repro.algorithms.evo import EvoProgram
+from repro.core import references
 from repro.graph.builder import from_edges
 from repro.platforms.scale import ScaleModel
 
@@ -70,7 +71,7 @@ def test_sssp_program_matches_dijkstra(spec, data):
     prog = get_algorithm("sssp").program(g, source=source)
     for _ in prog:
         pass
-    ref = shortest_path_lengths(g, source)
+    ref = references.sssp(g, source=source)
     assert np.allclose(prog.result(), ref, equal_nan=True)
 
 
