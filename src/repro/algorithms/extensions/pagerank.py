@@ -40,7 +40,9 @@ class PageRankProgram(SuperstepProgram):
         self.tolerance = float(tolerance)
         self.ranks = np.full(n, 1.0 / max(n, 1))
         self._out_deg = np.asarray(graph.out_degree(), dtype=np.float64)
-        self._adj_in = graph.to_scipy("in")
+        # float64 data: an int8 matrix times a float64 vector would make
+        # scipy copy the matrix data to float64 on every superstep
+        self._adj_in = graph.to_scipy("in").astype(np.float64)
 
     def step(self) -> SuperstepReport:
         g = self.graph

@@ -22,7 +22,8 @@ from collections import defaultdict
 import numpy as np
 
 __all__ = [
-    "ResourceTrace", "RowRecords", "normalize_series", "MASTER", "worker_node",
+    "ResourceTrace", "RowRecords", "normalize_series", "per_row", "MASTER",
+    "worker_node",
 ]
 
 #: canonical node name for the master
@@ -321,19 +322,12 @@ class RowRecords:
         """:meth:`ResourceTrace.set_memory` once per row."""
         self._calls.append(("set_memory", node, (t, nbytes, span)))
 
-    def _per_row(self, x) -> list:
-        if isinstance(x, np.ndarray) and x.ndim:
-            return x.tolist()
-        if isinstance(x, (list, tuple)):
-            return list(x)
-        return [x.item() if isinstance(x, np.generic) else x] * self.n
-
     def _replay(self, trace: ResourceTrace) -> None:
         """Make the records and replay them into ``trace`` row by row."""
         self._fill(self, *self._args)
         self._fill = self._args = None
         calls = [(getattr(trace, method), node,
-                  [self._per_row(x) for x in args])
+                  [per_row(x, self.n) for x in args])
                  for method, node, args in self._calls]
         for i in range(self.n):
             for method, node, columns in calls:
@@ -344,6 +338,16 @@ class RowRecords:
                     t0, t1, cpu, net_in, net_out = values
                     method(node, t0, t1, cpu=cpu, net_in=net_in,
                            net_out=net_out, span=span)
+
+
+def per_row(x, n: int) -> list:
+    """``x`` given per row (an array or a sequence) or once for all
+    ``n`` rows (a scalar), as a list of Python values."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        return x.tolist()
+    if isinstance(x, (list, tuple)):
+        return list(x)
+    return [x.item() if isinstance(x, np.generic) else x] * n
 
 
 def normalize_series(values: np.ndarray, num_points: int = 100) -> np.ndarray:

@@ -37,12 +37,15 @@ keeps the retry/restart accounting counters.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import enum
 import json
 import typing as _t
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.des.engine import Simulator
     from repro.des.events import Event
 
@@ -441,6 +444,27 @@ class FaultInjector:
                 del self._crashes[i]
                 return f
         return None
+
+    def first_touched(self, since: float, t0: np.ndarray,
+                      t1: np.ndarray) -> int:
+        """The first of the consecutive windows ``[t0[i], t1[i])`` a
+        fault event may touch, ``len(t1)`` if none: an unfired crash in
+        ``[since, t1[i])`` or a degradation window overlapping it.  The
+        windows are widened by a relative 1e-9, which covers the
+        rounding of partial sums inside them, so the test errs toward
+        touching; work charged in an untouched window is neither
+        stretched nor recovered."""
+        ends = t1.tolist()
+        first = len(ends)
+        for f in self._crashes + self._windows:
+            # the first window whose widened end passes the event
+            i = bisect.bisect_right(ends, (f.at - 1e-9) / (1.0 + 1e-9))
+            if i < first and (
+                f.at >= since if f.kind is FaultKind.NODE_CRASH
+                else t0[i] * (1.0 - 1e-9) - 1e-9 < f.at + f.duration
+            ):
+                first = i
+        return first
 
     def stretch(self, t0: float, seconds: float, resource: str) -> float:
         """The charged duration of a nominal work interval

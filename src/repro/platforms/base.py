@@ -43,7 +43,7 @@ from repro.algorithms.base import (
     TraceReplay,
     get_algorithm,
 )
-from repro.cluster.monitoring import ResourceTrace
+from repro.cluster.monitoring import ResourceTrace, per_row
 from repro.cluster.spec import ClusterSpec
 from repro.core import telemetry
 from repro.des.faults import FaultInjector, FaultPlan
@@ -201,14 +201,6 @@ class WorkerStepCosts:
     #: includes locally-delivered messages, which occupy receive
     #: buffers but never touch the NIC
     remote_received_bytes: np.ndarray
-
-    @property
-    def total_messages(self) -> float:
-        return float(self.messages.sum())
-
-    @property
-    def total_remote_bytes(self) -> float:
-        return float(self.remote_sent_bytes.sum())
 
 
 class PartitionContext:
@@ -582,28 +574,42 @@ def _lsum(values: list[float]) -> float:
     return total
 
 
-def _column(x, n: int) -> np.ndarray:
-    """``x`` as a float64 column of ``n`` rows (scalars repeated)."""
-    if isinstance(x, np.ndarray) and x.ndim:
-        return x
-    return np.full(n, x, dtype=np.float64)
-
-
 #: span ids of a charge without telemetry (longer than any charge)
 _NO_SPANS = (None,) * 16
 
 
-def _stacked(charges: list[Charged], spans: bool) -> Charged:
-    """Row-by-row charges as one :class:`Charged` of per-charge arrays."""
-    def column(values) -> np.ndarray:
-        return np.array(values, dtype=np.float64)
+def _row_items(items, n: int) -> list[tuple]:
+    """The ``n`` rows of :meth:`Charge.steps` items, each row as the
+    items :meth:`Charge._charge` takes (Python scalars)."""
+    columns = []
+    for item in items:
+        values = [per_row(x, n) for x in item[1:3]]
+        if len(item) > 3:
+            attrs = {k: per_row(v, n) for k, v in item[3].items()}
+            values.append([{k: v[i] for k, v in attrs.items()}
+                           for i in range(n)])
+        columns.append([(item[0], *row) for row in zip(*values)])
+    return list(zip(*columns))
 
-    width = len(charges[0].seconds)
+
+def _joined(pieces: list[Charged], spans: bool) -> Charged:
+    """Consecutive charges as one :class:`Charged` of per-charge arrays:
+    runs of rows charged as arrays, and single charges of walked rows."""
+    sizes = [len(p.t0) if isinstance(p.t0, np.ndarray) else 1 for p in pieces]
+
+    def column(values) -> np.ndarray:
+        return np.concatenate([v if isinstance(v, np.ndarray) else [v] * k
+                               for v, k in zip(values, sizes)],
+                              dtype=np.float64)
+
+    def ids(values) -> list:
+        return [i for v in values for i in (v if isinstance(v, list) else [v])]
+
+    items = range(len(pieces[0].seconds))
     return Charged(
-        column([c.t0 for c in charges]), column([c.t1 for c in charges]),
-        column([c.total for c in charges]),
-        [column([c.seconds[j] for c in charges]) for j in range(width)],
-        [[c.spans[j] for c in charges] for j in range(width)] if spans
+        *(column([getattr(p, f) for p in pieces]) for f in ("t0", "t1", "total")),
+        [column([p.seconds[j] for p in pieces]) for j in items],
+        [ids([p.spans[j] for p in pieces]) for j in items] if spans
         else _NO_SPANS,
     )
 
@@ -642,9 +648,6 @@ class Charge:
         self._stage = "superstep"
         self._in_loop = False
         self._body_span = False
-        #: charge :meth:`steps` as arrays: a replayed trace with faults
-        #: and telemetry off (set by :meth:`supersteps`)
-        self.arrays = False
 
     def memory_limit(self, configured: float) -> float:
         """The per-worker memory limit under memory-ceiling faults."""
@@ -690,13 +693,11 @@ class Charge:
         self._in_loop, self._body_span, self._stage = True, body_span, stage
         n = prog.graph.num_vertices
         if isinstance(prog, TraceReplay) and prog.superstep == 0:
-            self.arrays = self.faults is None and tele is None
             table = (ctx.step_table(prog.trace) if ctx is not None
                      else StepTable(_replayed(prog.trace), None, n))
             if table.rows:
                 yield table
         else:
-            self.arrays = False
             for report in prog:
                 yield StepTable((report,), ctx, n, self.superstep + 1)
         self._in_loop = False
@@ -732,24 +733,20 @@ class Charge:
           masked rows (a later crash restarts from its barrier);
         * run crash recovery and check the budget.
 
-        With :attr:`arrays` set the rows are charged at once: every
-        per-row quantity is an elementwise IEEE expression over the
-        columns, and the clock and each breakdown entry advance by a
-        sequential ``np.cumsum`` seeded with their current values, so
-        the bits equal the row-by-row charges.  Otherwise each row goes
-        through the same path as :meth:`phase`, with fault stretch,
-        recovery and telemetry.
+        The rows are charged as arrays: every per-row quantity is an
+        elementwise IEEE expression over the columns, and the clock and
+        each breakdown entry advance by a sequential ``np.cumsum``
+        seeded with their current values, so the bits equal charging
+        the rows one at a time; telemetry is emitted afterwards from
+        the charged windows.  Under a fault plan a row a fault event
+        may touch (:meth:`FaultInjector.first_touched`) is walked
+        through :meth:`_charge` and :meth:`recover` instead.
 
         Returns a :class:`Charged` of per-charge arrays (``repeat`` per
         row); its ``checkpoint`` holds the checkpoint charges, of zero
         length on unmasked rows.
         """
-        driver = self._array_steps if self.arrays else self._row_steps
-        return driver(table.rows, items, crash, slowdown, checkpoint,
-                      repeat, retry, budget)
-
-    def _array_steps(self, n, items, crash, slowdown, checkpoint, repeat,
-                     retry, budget) -> Charged:
+        n = table.rows
         # the items' seconds, then their extras among themselves (_charge)
         total = extra = None
         groups: dict[str, _t.Any] = {}
@@ -763,151 +760,189 @@ class Charge:
             groups[key] = groups[key] + s if key in groups else s
         if extra is not None:
             total = total + extra
-        #: breakdown entries the rows feed: (key, value per row, charges
-        #: per row); entries new to the breakdown are added in the order
-        #: a row-by-row charge would add them
-        feeds = [(key, g, repeat) for key, g in groups.items()]
+        #: breakdown entries the rows feed: (key, value per row, the
+        #: columns of a row it fills); entries new to the breakdown are
+        #: added in the order a row-by-row charge would add them
+        charges, ck_column = range(repeat), range(repeat, repeat + 1)
+        feeds = [(key, g, charges) for key, g in groups.items()]
         late = []
+        slow = None
         if slowdown is not None and slowdown[2].any():
             rule, factor, mask = slowdown
             slowed = total * factor
-            late.append((int(mask.argmax()), 0, rule,
-                         np.where(mask, slowed - total, 0.0), repeat))
+            slow = (rule, np.where(mask, slowed - total, 0.0), mask)
+            late.append((int(mask.argmax()), 0, rule, slow[1], charges))
             total = np.where(mask, slowed, total)
         if checkpoint is not None:
             ck_rule, ck_seconds, ck_mask = checkpoint
             ck = np.where(ck_mask, ck_seconds, 0.0)
+            checkpoint = (ck_rule, ck, ck_mask)
             if ck_mask.any():
-                late.append((int(ck_mask.argmax()), 1, ck_rule.key, ck, 1))
+                late.append((int(ck_mask.argmax()), 1, ck_rule.key, ck,
+                             ck_column))
         if late:
-            feeds += [feed[2:] for feed in sorted(late, key=lambda f: f[:2])]
+            feeds += [f[2:] for f in sorted(late, key=lambda f: f[:2])]
 
-        # One sequential cumsum advances the clock (row 0: a column per
-        # charge, then the checkpoint) and every breakdown entry from
-        # its value; zeros padding a shorter row add exactly nothing.
+        # The clock (a column per charge, then the checkpoint) and every
+        # breakdown entry as increments in each row's columns; zeros in
+        # the columns a run does not fill add exactly nothing.
         width = repeat + (checkpoint is not None)
         runs = np.zeros((1 + len(feeds), n * width + 1))
-        breakdown = self.breakdown
-        runs[:, 0] = [self.t] + [breakdown.get(f[0], 0.0) for f in feeds]
-        clock = runs[0]
-        if width == 1:
-            clock[1:] = total
-        else:
-            charges = clock[1:].reshape(n, width)
-            charges[:, :repeat] = (total[:, None]
-                                   if isinstance(total, np.ndarray) else total)
-            if checkpoint is not None:
-                charges[:, repeat] = ck
-        for run, (_, values, per_row) in zip(runs[1:], feeds):
-            if per_row == 1:
-                run[1:n + 1] = values
-            else:
-                run[1:n * per_row + 1].reshape(n, per_row)[:] = (
-                    values[:, None] if isinstance(values, np.ndarray)
-                    else values
-                )
-        runs.cumsum(axis=1, out=runs)
-
-        # the first crash row, the first budget check the clock fails
-        over = (clock[1:] if budget else clock[width::width]) > self.budget
-        timeout = int(over.argmax()) if over.any() else -1
-        timeout_row = timeout // width if budget else timeout
-        if crash is not None and crash[0].any():
-            row = int(crash[0].argmax())
-            if timeout < 0 or row <= timeout_row:
-                self.superstep += row + 1
-                raise crash[1](row)
-        if timeout >= 0:
-            self.superstep += timeout_row + 1
-            self.t = float(clock[timeout + 1] if budget
-                           else clock[(timeout + 1) * width])
-            raise JobTimeout(self.platform.name, self.t, self.budget)
-
-        self.superstep += n
-        self.t = float(clock[-1])
-        for (key, _, _), value in zip(feeds, runs[1:, -1].tolist()):
-            breakdown[key] = value
-        if width == 1:
-            t0, t1 = clock[:-1], clock[1:]
-        else:
-            at = (np.arange(n)[:, None] * width + np.arange(repeat)).ravel()
-            t0, t1 = clock[at], clock[at + 1]
-        total = _column(total, n)
-        if repeat == 1:
-            seconds = [item[1] for item in items]
-        else:
-            total = total.repeat(repeat)
-            seconds = [item[1].repeat(repeat)
-                       if isinstance(item[1], np.ndarray) else item[1]
-                       for item in items]
-        charged = Charged(t0, t1, total, seconds, _NO_SPANS)
+        for k, (_, values, columns) in enumerate(
+                [(None, total, charges), *feeds]):
+            for column in columns:
+                runs[k, 1 + column::width] = values
         if checkpoint is not None:
-            charged.checkpoint = Charged(
-                clock[repeat:-1:width], clock[repeat + 1::width], ck, [ck],
-                _NO_SPANS,
-            )
-            if ck_mask.any():
-                last = int(np.flatnonzero(ck_mask)[-1])
-                self.checkpoint_t = float(clock[last * width + repeat + 1])
+            runs[0, 1 + repeat::width] = ck
+
+        breakdown, faults = self.breakdown, self.faults
+        # the rows as _charge items, to emit their telemetry or walk them
+        rows = None if self.tele is None else _row_items(items, n)
+        pieces: list[Charged] = []
+        lo = 0
+        while lo < n or not pieces:
+            # One sequential cumsum advances the clock and every entry
+            # from their values over the rows from ``lo`` (under faults a
+            # walk may leave rows after it: keep the increments).
+            run = runs if faults is None else runs[:, lo * width:].copy()
+            run[:, 0] = [self.t] + [breakdown.get(f[0], 0.0) for f in feeds]
+            run.cumsum(axis=1, out=run)
+            clock = run[0]
+            hi = n if faults is None else lo + faults.first_touched(
+                self.scan_from, clock[:-1:width], clock[width::width])
+            if hi > lo or hi == n:
+                # rows lo:hi: the first crash row, the first failed budget
+                m, end = hi - lo, (hi - lo) * width
+                over = (clock[1:end + 1] if budget
+                        else clock[width:end + 1:width]) > self.budget
+                timeout = int(over.argmax()) if over.any() else -1
+                timeout_row = timeout // width if budget else timeout
+                if crash is not None and crash[0][lo:hi].any():
+                    row = int(crash[0][lo:hi].argmax())
+                    if timeout < 0 or row <= timeout_row:
+                        self.superstep += row + 1
+                        raise crash[1](lo + row)
+                if timeout >= 0:
+                    self.superstep += timeout_row + 1
+                    self.t = float(clock[timeout + 1] if budget
+                                   else clock[(timeout + 1) * width])
+                    raise JobTimeout(self.platform.name, self.t, self.budget)
+
+                spans = ck_spans = _NO_SPANS
+                if self.tele is not None and m:
+                    spans, ck_spans = self._emit_rows(
+                        clock, lo, rows[lo:hi], slow, checkpoint, repeat)
+                else:
+                    self.superstep += m
+                self.t = self.scan_from = float(clock[end])
+                for (key, _, _), value in zip(feeds, run[1:, end].tolist()):
+                    breakdown[key] = value
+                if width == 1:
+                    t0, t1 = clock[:end], clock[1:end + 1]
+                else:
+                    at = (np.arange(m)[:, None] * width
+                          + np.arange(repeat)).ravel()
+                    t0, t1 = clock[at], clock[at + 1]
+                seconds = [item[1][lo:hi] if isinstance(item[1], np.ndarray)
+                           else item[1] for item in items]
+                charged = Charged(t0, t1, total[lo:hi]
+                                  if isinstance(total, np.ndarray)
+                                  else np.full(m, total), seconds, spans)
+                if repeat > 1:
+                    charged.total = charged.total.repeat(repeat)
+                    charged.seconds = [
+                        s.repeat(repeat) if isinstance(s, np.ndarray) else s
+                        for s in seconds]
+                if checkpoint is not None:
+                    charged.checkpoint = Charged(
+                        clock[repeat:end:width], clock[repeat + 1:end + 1:width],
+                        ck[lo:hi], [ck[lo:hi]], ck_spans)
+                    masked = np.flatnonzero(ck_mask[lo:hi])
+                    if len(masked):
+                        self.checkpoint_t = float(
+                            clock[masked[-1] * width + repeat + 1])
+                if lo == 0 and hi == n:
+                    return charged
+                pieces.append(charged)
+            if hi < n:
+                rows = rows or _row_items(items, n)
+                pieces += self._walk(hi, rows[hi], crash, slowdown,
+                                     checkpoint, repeat, retry, budget)
+            lo = hi + 1
+        charged = _joined(pieces, self.tele is not None)
+        if checkpoint is not None:
+            charged.checkpoint = _joined(
+                [p.checkpoint for p in pieces if p.checkpoint is not None],
+                self.tele is not None)
         return charged
 
-    def _row_steps(self, n, items, crash, slowdown, checkpoint, repeat,
-                   retry, budget) -> Charged:
-        def per_row(x) -> list:
-            if isinstance(x, (np.ndarray, np.generic)):
-                return x.tolist() if x.ndim else [x.item()] * n
-            return [x] * n
+    def _emit_rows(self, clock, lo: int, rows, slow, checkpoint,
+                   repeat: int) -> tuple[list, list]:
+        """Emit the spans and leaves of ``rows`` (from row ``lo``), charged
+        on ``clock``; returns the span ids of each item's charges and of
+        the checkpoint charges."""
+        tele, body = self.tele, self._body_span
+        clock = clock.tolist()
+        spans: list[list] = [[] for _ in rows[0]]
+        ck_spans: list = []
+        c = 0
+        for i, row in enumerate(rows, lo):
+            self.superstep += 1
+            name, n = f"superstep {self.superstep}", self.superstep
+            tail = ()
+            if slow is not None and slow[2][i]:
+                tail = ((slow[0], float(slow[1][i]), slow[0], None),)
+            if body:
+                tele.begin_span("superstep", name, clock[c], superstep=n)
+            for _ in range(repeat):
+                if not body:
+                    tele.begin_span("superstep", name, clock[c], superstep=n)
+                for ids, sid in zip(spans, self._emit(row, clock[c], tail)):
+                    ids.append(sid)
+                c += 1
+                if not body:
+                    tele.end_span(clock[c])
+            if checkpoint is not None:
+                ck = ((checkpoint[0], float(checkpoint[1][i])),)
+                ck_spans.append(self._emit(ck, clock[c], ())[0]
+                                if checkpoint[2][i] else None)
+                c += 1
+            if body:
+                tele.end_span(clock[c])
+        return spans, [ck_spans]
 
-        def item_rows(item) -> list[tuple]:
-            columns = [per_row(x) for x in item[1:3]]
-            if len(item) > 3:
-                attrs = {k: per_row(v) for k, v in item[3].items()}
-                columns.append([{k: v[i] for k, v in attrs.items()}
-                                for i in range(n)])
-            return [(item[0], *values) for values in zip(*columns)]
-
-        row_items = list(zip(*(item_rows(item) for item in items)))
-        crashes = per_row(crash[0]) if crash is not None else [False] * n
-        slowed = per_row(slowdown[2]) if slowdown is not None else [False] * n
-        if slowdown is not None:
-            factors = per_row(slowdown[1])
-        if checkpoint is not None:
-            ck_seconds, ck_mask = per_row(checkpoint[1]), per_row(checkpoint[2])
+    def _walk(self, i: int, row, crash, slowdown, checkpoint, repeat: int,
+              retry, budget: bool) -> list[Charged]:
+        """Charge row ``i`` (its items ``row``), which a fault event may
+        touch, through :meth:`_charge` and :meth:`recover`; returns its
+        charges, the first holding the checkpoint charge."""
+        self.superstep += 1
+        name, n = f"superstep {self.superstep}", self.superstep
         body = self.tele if self._body_span else None
         step_tele = None if self._body_span else self.tele
-        charges: list[Charged] = []
-        checkpoints: list[Charged] = []
-        for i in range(n):
-            self.superstep += 1
-            if body is not None:
-                body.begin_span("superstep", f"superstep {self.superstep}",
-                                self.t, superstep=self.superstep)
-            if crashes[i]:
-                raise crash[1](i)
-            slow = (slowdown[0], factors[i]) if slowed[i] else None
-            for _ in range(repeat):
-                if step_tele is not None:
-                    step_tele.begin_span(
-                        "superstep", f"superstep {self.superstep}", self.t,
-                        superstep=self.superstep)
-                charges.append(self._close(
-                    step_tele, self._charge(row_items[i], slow, retry),
-                    budget))
-            if checkpoint is not None:
-                checkpoints.append(
-                    self.checkpoint(checkpoint[0], ck_seconds[i])
-                    if ck_mask[i]
-                    else Charged(self.t, self.t, 0.0, [0.0], _NO_SPANS))
-            if body is not None:
-                body.end_span(self.t)
-            if self.faults is not None:
-                self.recover(f"{self._stage} {self.superstep}")
-            if self.t > self.budget:
-                self._check_budget()
-        charged = _stacked(charges, self.tele is not None)
+        if body is not None:
+            body.begin_span("superstep", name, self.t, superstep=n)
+        if crash is not None and crash[0][i]:
+            raise crash[1](i)
+        slow = None
+        if slowdown is not None and slowdown[2][i]:
+            slow = (slowdown[0], per_row(slowdown[1], i + 1)[i])
+        charges = []
+        for _ in range(repeat):
+            if step_tele is not None:
+                step_tele.begin_span("superstep", name, self.t, superstep=n)
+            charges.append(self._close(
+                step_tele, self._charge(row, slow, retry), budget))
         if checkpoint is not None:
-            charged.checkpoint = _stacked(checkpoints, self.tele is not None)
-        return charged
+            charges[0].checkpoint = (
+                self.checkpoint(checkpoint[0], float(checkpoint[1][i]))
+                if checkpoint[2][i]
+                else Charged(self.t, self.t, 0.0, [0.0], _NO_SPANS))
+        if body is not None:
+            body.end_span(self.t)
+        self.recover(f"{self._stage} {self.superstep}")
+        self._check_budget()
+        return charges
 
     def checkpoint(self, rule: Rule, seconds: float) -> Charged:
         """Charge a checkpoint write between supersteps; a later crash

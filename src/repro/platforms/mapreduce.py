@@ -81,8 +81,6 @@ class MapReduceEngine(Platform):
     sort_buffer_bytes = 1.5 * GB
     #: Java expansion factor for a single in-memory record group
     record_memory_factor = 100.0
-    #: bytes of shuffle per message (key + value + framing, on disk)
-    message_shuffle_bytes = 16.0
     #: extra jobs per iteration for algorithms needing a distinct
     #: convergence/creation job (paper: EVO runs two MR jobs/iteration)
     two_job_algorithms = ("evo",)

@@ -60,9 +60,8 @@ class Neo4j(Platform):
     # -- cost model ---------------------------------------------------------
     #: java heap (paper configuration)
     heap_bytes = 20 * GB
-    #: store bytes per relationship record / node record
+    #: store bytes per relationship record (cold reads)
     store_bytes_per_edge = 33.0
-    store_bytes_per_vertex = 15.0
     #: object-cache footprint per relationship / node (Java objects)
     object_bytes_per_edge = 320.0
     object_bytes_per_vertex = 1000.0
@@ -88,13 +87,6 @@ class Neo4j(Platform):
     restart_seconds = 60.0
     #: cost rule of a database reboot
     restart_rule = "node_reboot"
-
-    def store_bytes(self, graph: Graph, scale: ScaleModel) -> float:
-        """Paper-scale on-disk store size."""
-        return (
-            scale.edges(graph.num_edges) * self.store_bytes_per_edge
-            + scale.vertices(graph.num_vertices) * self.store_bytes_per_vertex
-        )
 
     def object_cache_bytes(self, graph: Graph, scale: ScaleModel) -> float:
         """Paper-scale full object-cache footprint."""

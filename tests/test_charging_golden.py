@@ -8,9 +8,10 @@ and the fault-accounting counters.  The grid is every platform model x
 {bfs, conn, cd, stats, evo} x two tiny datasets x three fault plans
 (none, one crash, a seeded storm), the Giraph and Hadoop option
 variants, and the one Stratosphere cell that spills and still finishes.
-Every golden cell records telemetry, so it is charged row by row; the
-telemetry-off twin of each ``none`` cell is charged as arrays and must
-match it in everything but the telemetry records.
+Every golden cell records telemetry, which ``Charge.steps`` emits
+after charging the rows as arrays; the telemetry-off twin of each
+``none`` cell goes through the same driver and must match it in
+everything but the telemetry records.
 
 Regenerate after an intended change to the cost models with::
 
