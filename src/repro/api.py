@@ -21,10 +21,11 @@ This module is that contract:
   (``queued -> running -> done | failed``).
 * :class:`ApiService` — the one implementation of the
   ``submit()/result()`` surface: runner views, batched predicts and
-  the job table.  The HTTP server in :mod:`repro.serve` holds one
-  service and adds only transport, admission, coalescing and
-  micro-batch windowing.  ``graphbench run`` builds its cell from a
-  :class:`PredictRequest` too, but calls ``Runner.run`` directly.
+  the job table.  The HTTP server in :mod:`repro.serve` answers
+  through it and adds only transport, admission, the answer cache,
+  coalescing and its worker processes.  ``graphbench run`` builds its
+  cell from a :class:`PredictRequest` too, but calls ``Runner.run``
+  directly.
 
 Stability rules (``API_VERSION`` = 1):
 
@@ -692,9 +693,11 @@ class ApiService:
     One runner (with its trace cache) serves every request.  Library
     callers get jobs that complete *synchronously* inside
     :meth:`submit`.  :class:`repro.serve.app.GraphbenchServer` holds one
-    service and adds only HTTP, admission, coalescing and the
-    micro-batch window, so a served answer comes from this code rather
-    than a copy of it.
+    service for its job table and sweeps, and its worker processes
+    answer predicts through :meth:`predict_batch` on a copy of the same
+    runner; the server adds only HTTP, admission, the answer cache and
+    coalescing, so a served answer comes from this code rather than a
+    copy of it.
     """
 
     def __init__(self, runner: "Runner | None" = None) -> None:
@@ -715,40 +718,26 @@ class ApiService:
         return outcome
 
     def predict_batch(
-        self, requests: _t.Sequence[PredictRequest], workers: int = 1
+        self, requests: _t.Sequence[PredictRequest]
     ) -> list[PredictResponse | Exception]:
         """Answer many cells at once: one outcome per request, in order
         — its response, or the exception its computation raised.
 
-        Cells sharing (scale, repetitions) run as one spec list through
-        :func:`~repro.core.sweep.run_specs` on ``workers`` processes.
-        If that list raises, its cells run again one at a time, so a
-        cell that raises fails only its own slot; cells are independent
-        and seeded per cell, so the others still get exactly the answer
-        ``Runner.run`` gives them alone.
+        Each cell runs through ``Runner.run`` on its runner view, so a
+        cell that raises fails only its own slot, and the others get
+        exactly the answer ``Runner.run`` gives them alone (cells are
+        independent and seeded per cell).  A batch shares the runner's
+        trace cache and partition contexts.
         """
-        from repro.core.sweep import run_specs
-
-        groups: dict[tuple[float, int], list[int]] = {}
-        for index, request in enumerate(requests):
-            groups.setdefault(
-                (request.scale, request.repetitions), []
-            ).append(index)
-        outcomes: list = [None] * len(requests)
-        for (scale, repetitions), indices in groups.items():
-            runner = self._runner_for(scale, repetitions)
-            specs = [requests[i].to_run_spec() for i in indices]
+        outcomes: list[PredictResponse | Exception] = []
+        for request in requests:
             try:
-                records = list(
-                    run_specs(runner, "predict-batch", specs, workers=workers)
-                )
-            except Exception:  # noqa: BLE001 - isolated per cell below
-                records = [_run_alone(runner, spec) for spec in specs]
-            for index, record in zip(indices, records):
-                outcomes[index] = (
-                    record if isinstance(record, Exception)
-                    else PredictResponse.from_record(record)
-                )
+                runner = self._runner_for(request.scale, request.repetitions)
+                outcomes.append(PredictResponse.from_record(
+                    runner.run(request.to_run_spec())
+                ))
+            except Exception as exc:  # noqa: BLE001 - the cell's own outcome
+                outcomes.append(exc)
         return outcomes
 
     def sweep(self, request: SweepRequest) -> "ExperimentResult":
@@ -841,9 +830,3 @@ class ApiService:
             del self._jobs[stale]
         return status
 
-
-def _run_alone(runner: "Runner", spec: RunSpec) -> "RunRecord | Exception":
-    try:
-        return runner.run(spec)
-    except Exception as exc:  # noqa: BLE001 - the cell's own outcome
-        return exc

@@ -830,7 +830,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        window_seconds=args.window,
         max_pending=args.max_pending,
         deadline_seconds=args.deadline,
         events_path=args.events,
@@ -1071,16 +1070,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[unified],
         help="long-running what-if prediction service (POST "
         "/v1/predict, POST /v1/sweep, GET /v1/jobs/{id}, /healthz, "
-        "/metrics)",
+        "/metrics); misses are computed in --workers persistent "
+        "worker processes",
     )
     sv.add_argument("--host", default="127.0.0.1",
                     help="bind address (default 127.0.0.1)")
     sv.add_argument("--port", type=int, default=8040,
                     help="bind port; 0 picks a free one (default 8040)")
-    sv.add_argument("--window", type=float, default=0.01,
-                    help="micro-batching window in seconds: distinct "
-                    "cells arriving within it dispatch as one batch "
-                    "(default 0.01)")
     sv.add_argument("--max-pending", type=int, default=64,
                     help="admission bound: requests beyond it are "
                     "refused with 429 + Retry-After (default 64)")

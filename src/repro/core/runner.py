@@ -89,8 +89,9 @@ class Runner:
     scale: float = 1.0
     use_trace_cache: bool = True
     trace_cache: TraceCache = dataclasses.field(default_factory=TraceCache)
-    #: step-cost memo counters that sweep workers gathered in their own
-    #: processes, folded back by :mod:`repro.core.sweep`
+    #: step-cost memo counters that worker processes (sweep pools, serve
+    #: workers) gathered in their own processes, folded back by
+    #: :mod:`repro.core.sweep`
     worker_memo_stats: collections.Counter = dataclasses.field(
         default_factory=collections.Counter,
         init=False, repr=False, compare=False,
@@ -108,9 +109,9 @@ class Runner:
         failure bookkeeping.
 
         ``spec.fault_plan`` injects the given chaos schedule into every
-        repetition; it becomes part of the trace-cache key, so a cached
-        fault-free trace is never replayed in place of a faulted run
-        (and vice versa).
+        repetition.  Faults act at charge time, never on the recorded
+        program, so the cell replays the same cached trace as its
+        fault-free twin and charges the faults on top of it.
 
         With an ambient :mod:`repro.obs` session the cell is also
         profiled for real (harness) wall-clock, peak RSS and GC
@@ -201,7 +202,6 @@ class Runner:
                 dataset=spec.dataset if isinstance(spec.dataset, str) else None,
                 scale=self.scale,
                 params=params,
-                fault_plan=fault_plan,
             )
             recorded = self.trace_cache.misses > misses_before
 

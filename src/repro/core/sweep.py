@@ -17,10 +17,11 @@ serial path**:
 * the simulations themselves are deterministic functions of the spec.
 
 Cells are dispatched in *workload batches*: all cells sharing one
-trace key (algorithm, dataset, params, faults) go to the same worker
-as one task, so each workload's superstep program is recorded once and
-its partition contexts are built once — the worker replays its own
-in-memory recording into every platform, exactly like the serial path.
+trace key (algorithm, dataset, params — a fault plan is not part of
+it) go to the same worker as one task, so each workload's superstep
+program is recorded once and its partition contexts are built once —
+the worker replays its own in-memory recording into every platform,
+exactly like the serial path.
 Only when the grid has fewer tasks than workers are batches split
 (each split costs at most one duplicate recording).  Results are
 scattered back into canonical order.
@@ -44,17 +45,20 @@ worker that needs a trace some other worker already recorded (a split
 batch, or a later serial cell) loads the pickle instead of
 re-executing the superstep program.
 
-Worker-side cache counters and telemetry ride back with each cell:
-counter deltas are folded into the parent cache
+Worker-side cache counters and telemetry ride back with each task
+(:func:`_worker_call`, folded in by :func:`_absorb`): trace-cache
+counter deltas are merged into the parent cache
 (:meth:`TraceCache.merge_counters
-<repro.core.trace_cache.TraceCache.merge_counters>`); each task also
-returns the step-cost memo counters of the contexts it built and used
-(:func:`~repro.platforms.registry.context_memo_stats`), which the
-parent adds to :meth:`Runner.cache_stats
-<repro.core.runner.Runner.cache_stats>`; and when
-telemetry is enabled in the parent each returned
+<repro.core.trace_cache.TraceCache.merge_counters>`); the step-cost
+memo counters of the contexts the task built and used
+(:func:`~repro.platforms.registry.context_memo_stats`) are added to
+:meth:`Runner.cache_stats <repro.core.runner.Runner.cache_stats>`; the
+task's observability snapshot is absorbed into the parent session; and
+when telemetry is enabled in the parent each returned
 :class:`~repro.platforms.base.JobResult` carries its recorded session,
-exactly as in a serial run.
+exactly as in a serial run.  The serving layer's persistent workers
+(:mod:`repro.serve.workers`) are built and report back through the
+same three functions.
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["run_sweep", "run_specs"]
 
-#: counters returned per cell and folded back into the parent cache
+#: trace-cache counters returned per task and folded back into the
+#: parent cache
 _COUNTER_KEYS = ("hits", "misses", "disk_hits", "disk_stores", "record_seconds")
 
 
@@ -107,9 +112,37 @@ _Task = tuple[
 _WORKER_RUNNER: "Runner | None" = None
 _WORKER_OBS: bool = False
 
+_T = _t.TypeVar("_T")
+
+
+def _mp_context() -> multiprocessing.context.BaseContext:
+    """Fork where the platform has it — workers then inherit the
+    parent's loaded datasets and imports — else spawn."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
+    )
+
+
+def _worker_config(runner: "Runner") -> _WorkerConfig:
+    """What a worker needs to rebuild ``runner``, with this process's
+    telemetry and observability switches."""
+    cache = runner.trace_cache
+    return _WorkerConfig(
+        repetitions=runner.repetitions,
+        jitter=runner.jitter,
+        seed=runner.seed,
+        scale=runner.scale,
+        use_trace_cache=runner.use_trace_cache,
+        max_entries=cache.max_entries,
+        spill_dir=str(cache.spill_dir) if cache.spill_dir else None,
+        telemetry=telemetry.is_enabled(),
+        observability=obs.active() is not None,
+    )
+
 
 def _init_worker(config: _WorkerConfig) -> None:
-    """Process-pool initializer: build this worker's runner."""
+    """Worker-process initializer: build this worker's runner."""
     global _WORKER_RUNNER, _WORKER_OBS
     from repro.core.runner import Runner
     from repro.core.trace_cache import TraceCache
@@ -119,7 +152,7 @@ def _init_worker(config: _WorkerConfig) -> None:
     telemetry.set_enabled(config.telemetry)
     # A forked worker also inherits the parent's observability session
     # object (including its JSONL file handle).  Detach it — workers
-    # record each batch into a fresh session and ship the snapshot back
+    # record each task into a fresh session and ship the snapshot back
     # instead of writing into the parent's sink.
     obs.detach()
     _WORKER_OBS = config.observability
@@ -135,17 +168,56 @@ def _init_worker(config: _WorkerConfig) -> None:
     )
 
 
-def _run_one(item: tuple[int, RunSpec]) -> tuple[int, RunRecord, dict]:
-    """Execute one cell in a worker; returns (original index, record,
-    cache-counter deltas for exactly this cell)."""
-    index, spec = item
+def _worker_call(
+    work: _t.Callable[["Runner"], _T],
+) -> tuple[_T, dict[str, float], dict[str, int], dict | None]:
+    """Run ``work`` on this worker's runner.
+
+    Returns what ``work`` returned, the trace-cache counter and
+    step-cost memo deltas it caused, and — with observability on — the
+    snapshot of the fresh session it recorded into: exact deltas, so
+    :func:`_absorb` never double-counts across tasks.
+    """
+    from repro.platforms.registry import context_memo_stats
+
     runner = _WORKER_RUNNER
     assert runner is not None, "worker initializer did not run"
     cache = runner.trace_cache
-    before = {k: getattr(cache, k) for k in _COUNTER_KEYS}
-    record = runner.run(spec)
-    delta = {k: getattr(cache, k) - before[k] for k in _COUNTER_KEYS}
-    return index, record, delta
+    counters = {k: getattr(cache, k) for k in _COUNTER_KEYS}
+    memo = context_memo_stats()
+    session = obs.Observability(role="worker") if _WORKER_OBS else None
+    if session is None:
+        value = work(runner)
+    else:
+        with obs.scoped(session):
+            value = work(runner)
+    memo_after = context_memo_stats()
+    return (
+        value,
+        {k: getattr(cache, k) - counters[k] for k in _COUNTER_KEYS},
+        {k: memo_after[k] - memo[k] for k in memo_after},
+        None if session is None else session.snapshot(),
+    )
+
+
+def _absorb(
+    runner: "Runner",
+    counters: dict[str, float],
+    memo: dict[str, int],
+    snapshot: dict | None,
+) -> None:
+    """Fold one :func:`_worker_call`'s deltas into ``runner`` and the
+    ambient observability session."""
+    runner.trace_cache.merge_counters(counters)
+    runner.worker_memo_stats.update(memo)
+    session = obs.active()
+    if session is not None and snapshot is not None:
+        session.absorb(snapshot)
+        # Rate gauges merge as maxima, which is meaningless for a
+        # ratio — recompute from the merged counters instead.
+        session.metrics.gauge(
+            "trace_cache.hit_rate", runner.trace_cache.hit_rate
+        )
 
 
 def _reference(workload: "Workload", dataset: str, scale: float) -> object:
@@ -158,49 +230,33 @@ def _reference(workload: "Workload", dataset: str, scale: float) -> object:
 
 def _run_task(
     task: _Task,
-) -> tuple[list[tuple[int, RunRecord, dict]], list[tuple[int, object]],
-           dict[str, int], dict | None]:
+) -> tuple[tuple[list[tuple[int, RunRecord]], list[tuple[int, object]]],
+           dict[str, float], dict[str, int], dict | None]:
     """Execute one task in a worker: its cells (one workload batch,
     sharing a trace recording and partition contexts) and its
-    reference outputs.
-
-    Also returns the task's step-cost memo counter deltas.  With
-    observability on, the task records into a fresh per-task session
-    and its snapshot rides back for the parent to absorb — an exact
-    delta, so nothing is double-counted across tasks.
-    """
-    from repro.platforms.registry import context_memo_stats
-
+    reference outputs, through :func:`_worker_call`."""
     cells, references = task
-    runner = _WORKER_RUNNER
-    assert runner is not None, "worker initializer did not run"
 
-    def work():
-        before = context_memo_stats()
-        results = [_run_one(item) for item in cells]
+    def work(runner: "Runner"):
+        start = time.perf_counter()
+        records = [(i, runner.run(spec)) for i, spec in cells]
         outputs = [(i, _reference(wl, ds, runner.scale))
                    for i, wl, ds in references]
-        after = context_memo_stats()
-        return results, outputs, {k: after[k] - before[k] for k in after}
+        session = obs.active()
+        if session is not None:
+            busy = time.perf_counter() - start
+            size = len(cells) + len(references)
+            session.metrics.count("sweep.worker_busy_seconds", busy)
+            session.metrics.count("sweep.batches_total")
+            session.metrics.observe("sweep.batch_size", float(size))
+            session.emit(
+                "worker_heartbeat",
+                batch_size=size,
+                busy_seconds=round(busy, 6),
+            )
+        return records, outputs
 
-    if not _WORKER_OBS:
-        return (*work(), None)
-    session = obs.Observability(role="worker")
-    start = time.perf_counter()
-    with obs.scoped(session):
-        results, outputs, memo = work()
-    busy = time.perf_counter() - start
-    size = len(cells) + len(references)
-    metrics = session.metrics
-    metrics.count("sweep.worker_busy_seconds", busy)
-    metrics.count("sweep.batches_total")
-    metrics.observe("sweep.batch_size", float(size))
-    session.emit(
-        "worker_heartbeat",
-        batch_size=size,
-        busy_seconds=round(busy, 6),
-    )
-    return results, outputs, memo, session.snapshot()
+    return _worker_call(work)
 
 
 def _workload_tasks(
@@ -211,8 +267,8 @@ def _workload_tasks(
     """Partition the grid into per-workload batches, plus one task per
     reference output.
 
-    Cells sharing a trace key (algorithm, dataset, params, faults) form
-    one task, so a workload is recorded and its contexts built exactly
+    Cells sharing a trace key (algorithm, dataset, params) form one
+    task, so a workload is recorded and its contexts built exactly
     once in whichever worker runs it — the parallel path does the same
     total work as the serial one.  When there are fewer tasks than
     workers, the largest batches are halved until the pool is fed
@@ -222,7 +278,7 @@ def _workload_tasks(
     """
     groups: dict[tuple, list[tuple[int, RunSpec]]] = {}
     for i, spec in enumerate(specs):
-        workload = spec.cell_key()[1:5]  # algorithm, dataset, params, faults
+        workload = spec.cell_key()[1:4]  # algorithm, dataset, params
         groups.setdefault(workload, []).append((i, spec))
     batches = list(groups.values())
     while len(batches) + len(references) < workers:
@@ -319,22 +375,9 @@ def run_specs(
         for ds in dict.fromkeys(datasets):
             load_dataset(ds, scale=runner.scale)
 
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
+        ctx = _mp_context()
         session = obs.active()
-        config = _WorkerConfig(
-            repetitions=runner.repetitions,
-            jitter=runner.jitter,
-            seed=runner.seed,
-            scale=runner.scale,
-            use_trace_cache=runner.use_trace_cache,
-            max_entries=cache.max_entries,
-            spill_dir=str(cache.spill_dir) if cache.spill_dir else None,
-            telemetry=telemetry.is_enabled(),
-            observability=session is not None,
-        )
+        config = _worker_config(runner)
         tasks = _workload_tasks(specs, workers, references)
         pool_workers = min(workers, len(tasks))
         if session is not None:
@@ -369,18 +412,15 @@ def run_specs(
             initializer=_init_worker,
             initargs=(config,),
         ) as pool:
-            for batch, outputs, memo, snapshot in pool.map(
+            for (batch, outputs), *deltas in pool.map(
                 _run_task, tasks, chunksize=1
             ):
-                for index, record, delta in batch:
+                for index, record in batch:
                     results[index] = record
-                    cache.merge_counters(delta)
-                runner.worker_memo_stats.update(memo)
                 for index, output in outputs:
                     wl, ds = references[index]
                     exp.references[wl.name, ds] = output
-                if session is not None and snapshot is not None:
-                    session.absorb(snapshot)
+                _absorb(runner, *deltas)
         if session is not None:
             pool_wall = time.perf_counter() - pool_start
             busy = (
@@ -392,11 +432,6 @@ def run_specs(
             )
             session.metrics.gauge("sweep.worker_utilization", utilization)
             session.metrics.observe("sweep.pool_wall_seconds", pool_wall)
-            # Rate gauges merge as maxima, which is meaningless for a
-            # ratio — recompute from the merged counters instead.
-            session.metrics.gauge(
-                "trace_cache.hit_rate", runner.trace_cache.hit_rate
-            )
             session.emit(
                 "sweep_finished",
                 sweep=name, cells=len(specs), workers=pool_workers,
@@ -421,9 +456,8 @@ def _absorb_spilled(runner: "Runner", specs: _t.Sequence[RunSpec]) -> None:
     """Pull the sweep's spilled recordings into the parent's in-memory
     cache without touching the hit/miss counters.
 
-    One preload per distinct workload: the trace key is derived from
-    each spec itself, so per-cell fault plans (the chaos sweep's
-    ``fault_plans`` axis) absorb their own entries."""
+    One preload per distinct workload; cells that differ only in their
+    fault plan (the chaos sweep's ``fault_plans`` axis) share it."""
     from repro.algorithms.base import get_algorithm
     from repro.core.trace_cache import trace_key
     from repro.datasets.registry import load_dataset
@@ -431,7 +465,7 @@ def _absorb_spilled(runner: "Runner", specs: _t.Sequence[RunSpec]) -> None:
     cache = runner.trace_cache
     seen: set[tuple] = set()
     for spec in specs:
-        workload = spec.cell_key()[1:5]  # algorithm, dataset, params, faults
+        workload = spec.cell_key()[1:4]  # algorithm, dataset, params
         if workload in seen:
             continue
         seen.add(workload)
@@ -443,6 +477,5 @@ def _absorb_spilled(runner: "Runner", specs: _t.Sequence[RunSpec]) -> None:
             dataset=spec.dataset,
             scale=runner.scale,
             params=spec.params_dict(),
-            fault_plan=spec.fault_plan,
         )
         cache.preload(key, graph)

@@ -14,14 +14,15 @@ capture everything the *program* can observe:
   datasets, object identity (kept alive by the entry) for ad-hoc
   graphs;
 * the algorithm's short code;
-* the program parameters, normalized to a sorted ``repr`` tuple;
-* the fault plan's content key (empty plans and ``None`` collapse to
-  the same component) — a trace recorded for one chaos schedule must
-  never be served to a run under a different one, and replaying a
-  cached trace must never mask an injected fault.
+* the program parameters, normalized to a sorted ``repr`` tuple.
 
-The partitioner and part count are deliberately **not** part of the
-key: traces record per-vertex workload arrays *upstream* of
+The fault plan is deliberately **not** part of the key either: a
+program never sees the plan — faults act only when a platform charges
+the replayed workload — so one recording serves the fault-free cell
+and every chaos schedule of the same workload, and a replay under a
+plan charges exactly what a live run under it does.
+
+Nor are the partitioner and part count: traces record per-vertex workload arrays *upstream* of
 partitioning, so one trace serves every partition layout (hash or
 greedy, per-worker or per-slot) — that is what lets six platforms
 share a single recording.
@@ -40,9 +41,6 @@ from repro import obs
 from repro.algorithms.base import Algorithm, SuperstepTrace, record_trace
 from repro.graph.graph import Graph
 
-if _t.TYPE_CHECKING:
-    from repro.des.faults import FaultPlan
-
 __all__ = ["TraceCache", "trace_key"]
 
 
@@ -54,7 +52,6 @@ def trace_key(
     scale: float = 1.0,
     seed: int | None = None,
     params: dict[str, object] | None = None,
-    fault_plan: "FaultPlan | None" = None,
 ) -> tuple:
     """The cache key for one (dataset, algorithm, params) workload."""
     if dataset is not None:
@@ -64,12 +61,7 @@ def trace_key(
     norm_params = tuple(
         sorted((k, repr(v)) for k, v in (params or {}).items())
     )
-    # An empty plan is behaviourally identical to no plan; both map to
-    # the same () component so fault-free sweeps keep sharing traces.
-    plan_part: tuple = ()
-    if fault_plan is not None and not fault_plan.is_empty:
-        plan_part = fault_plan.key()
-    return (source, algorithm, norm_params, plan_part)
+    return (source, algorithm, norm_params)
 
 
 class TraceCache:
@@ -252,7 +244,6 @@ class TraceCache:
         scale: float = 1.0,
         seed: int | None = None,
         params: dict[str, object] | None = None,
-        fault_plan: "FaultPlan | None" = None,
     ) -> tuple[SuperstepTrace, float]:
         """The trace for this workload — recorded now on a miss.
 
@@ -261,7 +252,7 @@ class TraceCache:
         """
         key = trace_key(
             algo.name, graph, dataset=dataset, scale=scale, seed=seed,
-            params=params, fault_plan=fault_plan,
+            params=params,
         )
         from repro.core import telemetry
 

@@ -69,7 +69,7 @@ EVENT_KINDS: frozenset[str] = frozenset({
     # serve mode (the prediction service)
     "serve_started",         # the server begins listening (host, port)
     "serve_request",         # one HTTP request answered (route, status)
-    "serve_batch",           # a micro-batch dispatched (cells, coalesced)
+    "serve_batch",           # a batch sent to a worker (cells, worker)
     "serve_rejected",        # admission control refused a request (429)
     "serve_stopped",         # the server shut down (requests served)
 })

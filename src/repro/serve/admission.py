@@ -1,8 +1,8 @@
 """Admission control: the server's overload valve.
 
 A prediction service under open-loop traffic has no natural
-back-pressure — clients keep arriving whether or not the sweep
-executor can keep up.  The controller bounds the number of requests
+back-pressure — clients keep arriving whether or not the worker
+processes can keep up.  The controller bounds the number of requests
 allowed past the front door at once; everything beyond the bound is
 refused *immediately* with ``429 Too Many Requests`` and a
 ``Retry-After`` hint derived from observed service time, which keeps

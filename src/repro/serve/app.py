@@ -6,7 +6,7 @@ one:
 
 ====================  ======================================================
 ``POST /v1/predict``  one cell: admission → answer cache → coalesce →
-                      micro-batch → ``ApiService.predict_batch`` → response
+                      batch → worker process → response
 ``POST /v1/sweep``    a named grid as a background job (``202`` + job id)
 ``GET /v1/jobs/{id}`` the :class:`~repro.api.JobStatus` of a submission,
                       from the service's job table
@@ -23,6 +23,11 @@ served and direct answer is an acceptance test, not an aspiration.
 Connections are one-shot (``Connection: close``): the load profile is
 many short independent queries, and forgoing keep-alive keeps the
 parser a dozen lines with no pipelining states to get wrong.
+
+A warm hit is answered on the event loop without leaving it; a miss
+is computed in one of the server's persistent worker processes
+(:mod:`repro.serve.workers`), so however long a miss takes, it holds
+no lock the event loop needs.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from repro.api import (
 from repro.serve.admission import AdmissionController
 from repro.serve.batching import RequestBatcher
 from repro.serve.cache import AnswerCache
+from repro.serve.workers import WorkerDied, WorkerPool
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runner import Runner
@@ -53,7 +59,8 @@ __all__ = ["GraphbenchServer"]
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 429: "Too Many Requests",
-    500: "Internal Server Error", 504: "Gateway Timeout",
+    500: "Internal Server Error", 503: "Service Unavailable",
+    504: "Gateway Timeout",
 }
 
 #: request bodies past this size are refused outright
@@ -77,14 +84,15 @@ class _HttpError(Exception):
 class GraphbenchServer:
     """The prediction service: a thin async adapter over one
     :class:`~repro.api.ApiService` (runner views, batched predicts, the
-    job table), adding HTTP, an admission gate, an answer cache and a
-    coalescing micro-batcher.
+    job table), adding HTTP, an admission gate, an answer cache, a
+    coalescing batcher and ``workers`` persistent worker processes
+    that compute the misses.
 
-    ``start()`` binds (``port=0`` picks a free port — the tests and
-    the load benchmark rely on that) and ``serve_forever()`` blocks;
-    ``aclose()`` tears down.  The server installs an ambient
-    :mod:`repro.obs` session at start when none is active, so
-    ``/metrics`` always has a registry to expose.
+    ``start()`` forks the workers, then binds (``port=0`` picks a free
+    port — the tests and the load benchmark rely on that);
+    ``serve_forever()`` blocks; ``aclose()`` tears down.  The server
+    installs an ambient :mod:`repro.obs` session at start when none is
+    active, so ``/metrics`` always has a registry to expose.
     """
 
     def __init__(
@@ -94,7 +102,6 @@ class GraphbenchServer:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 1,
-        window_seconds: float = 0.01,
         max_pending: int = 64,
         deadline_seconds: float = 30.0,
         events_path: str | None = None,
@@ -103,24 +110,15 @@ class GraphbenchServer:
         self.host = host
         self.port = port
         self.answer_cache = AnswerCache(maxsize=_ANSWER_CACHE_SIZE)
-        # Micro-batches and background sweep jobs each get their own
-        # single-thread executor: a shared pool would let concurrent
-        # sweep jobs occupy every thread and starve predict dispatches
-        # into 504s.  One sweep thread also caps sweep concurrency at
-        # one — extra jobs queue.  Never the loop's default pool, which
-        # other code may exhaust.
-        self._batch_executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-batch"
-        )
+        self.pool = WorkerPool(self.service.runner, workers)
+        # Background sweep jobs get their own single-thread executor,
+        # which also caps sweep concurrency at one — extra jobs queue.
+        # Never the loop's default pool, which other code may exhaust.
         self._sweep_executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-sweep"
         )
         self.batcher = RequestBatcher(
-            self.service,
-            workers=workers,
-            window_seconds=window_seconds,
-            answer_cache=self.answer_cache,
-            executor=self._batch_executor,
+            self.pool, answer_cache=self.answer_cache
         )
         self.admission = AdmissionController(
             max_pending=max_pending, deadline_seconds=deadline_seconds
@@ -134,10 +132,14 @@ class GraphbenchServer:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
-        """Bind and begin accepting; resolves ``self.port`` when 0."""
+        """Fork the workers, then bind and begin accepting; resolves
+        ``self.port`` when 0."""
         if obs.active() is None:
             obs.start(events_path=self.events_path, role="main")
             self._owns_obs = True
+        # Before any thread or socket of the server exists, so the
+        # workers inherit neither.
+        self.pool.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -161,7 +163,7 @@ class GraphbenchServer:
         session = obs.active()
         if session is not None:
             session.emit("serve_stopped", requests=self.requests_served)
-        self._batch_executor.shutdown(wait=False, cancel_futures=True)
+        self.pool.close()
         self._sweep_executor.shutdown(wait=False, cancel_futures=True)
         if self._owns_obs:
             obs.stop()
@@ -210,9 +212,14 @@ class GraphbenchServer:
                 )
             try:
                 await writer.drain()
+                # Send the FIN explicitly: a worker forked while this
+                # connection was open holds a copy of its socket, and
+                # close() alone would not end the client's read.
+                if writer.can_write_eof():
+                    writer.write_eof()
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
+            except (OSError, asyncio.CancelledError):
                 pass
 
     @staticmethod
@@ -305,28 +312,15 @@ class GraphbenchServer:
             )
         started = time.monotonic()
         try:
-            try:
-                # shield: a client deadline must not cancel the shared
-                # computation — it finishes and warms the cache anyway.
-                result, cached = await asyncio.wait_for(
-                    asyncio.shield(self.batcher.predict(request)),
-                    timeout=self.admission.deadline_seconds,
-                )
-            except asyncio.TimeoutError:
-                self.admission.note_timeout()
-                raise _HttpError(
-                    504,
-                    f"deadline of {self.admission.deadline_seconds:g}s "
-                    f"exceeded; retry for the cached answer",
-                ) from None
-            except ApiError as exc:
-                raise _HttpError(400, str(exc)) from None
-            except (KeyError, ValueError) as exc:
-                raise _HttpError(400, str(exc)) from None
+            # A warm hit is answered right here, without a task.
+            result = self.batcher.lookup(request)
+            cached = result is not None
+            if not cached:
+                result = await self._compute(request)
         finally:
             # any exception from the batcher future — not just the ones
-            # mapped to statuses above — must return the slot, or the
-            # gate leaks capacity until restart
+            # mapped to statuses in _compute — must return the slot, or
+            # the gate leaks capacity until restart
             self.admission.release(time.monotonic() - started)
         job = self.service.open_job("predict")
         self.service.finish_job(job.job_id, result)
@@ -336,6 +330,30 @@ class GraphbenchServer:
             "cached": cached,
             "result": result,
         }, ()
+
+    async def _compute(self, request: PredictRequest) -> dict:
+        """A missed cell's answer payload, with its failures mapped to
+        statuses."""
+        try:
+            # shield: a client deadline must not cancel the shared
+            # computation — it finishes and warms the cache anyway.
+            return await asyncio.wait_for(
+                asyncio.shield(self.batcher.compute(request)),
+                timeout=self.admission.deadline_seconds,
+            )
+        except asyncio.TimeoutError:
+            self.admission.note_timeout()
+            raise _HttpError(
+                504,
+                f"deadline of {self.admission.deadline_seconds:g}s "
+                f"exceeded; retry for the cached answer",
+            ) from None
+        except WorkerDied as exc:
+            raise _HttpError(503, str(exc), (("Retry-After", "1"),)) from None
+        except ApiError as exc:
+            raise _HttpError(400, str(exc)) from None
+        except (KeyError, ValueError) as exc:
+            raise _HttpError(400, str(exc)) from None
 
     async def _sweep(
         self, body: bytes
@@ -376,8 +394,17 @@ class GraphbenchServer:
             "requests_served": self.requests_served,
             "admission": self.admission.stats(),
             "batching": self.batcher.stats(),
-            "trace_cache": dict(self.service.runner.trace_cache.stats()),
+            "workers": self.pool.stats(),
+            "trace_cache": self._trace_cache_stats(),
         }
+
+    def _trace_cache_stats(self) -> dict:
+        """The server's own cache (sweep jobs) plus the workers': their
+        counters are merged batch by batch, their sizes summed here."""
+        stats = self.service.runner.trace_cache.stats()
+        for key, value in self.pool.cache_size().items():
+            stats[key] += value
+        return stats
 
     def _metrics_text(self) -> str:
         session = obs.active()
