@@ -19,8 +19,9 @@ Two phases, both deterministic:
 2. **chaos** — one :class:`~repro.core.spec.RunSpec` per (template x
    surviving baseline cell), executed through
    :func:`~repro.core.sweep.run_specs`.  Per-cell derived seeds and
-   fault-plan-aware trace keys make ``workers=N`` bit-identical to
-   ``workers=1``.
+   one plan-free recording per (algorithm, dataset), shared by every
+   plan because faults are charged on replay, make ``workers=N``
+   bit-identical to ``workers=1``.
 
 Baseline cells that crash without faults (e.g. Giraph heap exhaustion
 — the paper's findings) surface as ``"no-baseline"`` chaos cells:
