@@ -12,11 +12,11 @@ Subcommands::
     graphbench table 5             # regenerate a paper table
     graphbench list                # platforms, algorithms, datasets,
                                    # workloads and scale factors
-    graphbench datasets            # list the seven datasets
-    graphbench platforms           # list the six platform models
     graphbench sweep --dataset friendster --mode horizontal
     graphbench sweep --mode grid --algorithms bfs conn \\
         --datasets amazon --workers 4 --json sweep_telemetry.jsonl
+    graphbench chaos-sweep --plans crash --platforms hadoop \\
+        --algorithms bfs --datasets dotaleague
     graphbench serve --port 8040   # the what-if prediction service
 
 Flag vocabulary is uniform across subcommands: ``--workers`` is always
@@ -44,8 +44,7 @@ from repro.core.report import format_seconds, render_table
 from repro.core.runner import Runner
 from repro.core.spec import RunSpec, SweepSpec
 from repro.core.suite import BenchmarkSuite
-from repro.datasets.registry import DATASET_NAMES, load_dataset, resolve_scale
-from repro.datasets.spec import PAPER_SPECS_TABLE2
+from repro.datasets.registry import resolve_scale
 from repro.platforms.registry import PLATFORM_NAMES
 
 __all__ = ["main"]
@@ -294,38 +293,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_datasets(args: argparse.Namespace) -> int:
-    rows = []
-    for name in DATASET_NAMES:
-        spec = PAPER_SPECS_TABLE2[name]
-        if args.load:
-            g = load_dataset(name, scale=args.scale)
-            rows.append([name, f"{g.num_vertices:,}", f"{g.num_edges:,}",
-                         spec.directivity, spec.source])
-        else:
-            rows.append([name, f"{spec.num_vertices:,}", f"{spec.num_edges:,}",
-                         spec.directivity, spec.source])
-    print(render_table(
-        ["dataset", "#V", "#E", "directivity", "source"],
-        rows,
-        title="datasets (mini-scale)" if args.load else "datasets (paper scale)",
-    ))
-    return 0
-
-
-def _cmd_platforms(_args: argparse.Namespace) -> int:
-    from repro.platforms.registry import get_platform
-
-    rows = []
-    for name in PLATFORM_NAMES:
-        p = get_platform(name)
-        rows.append([name, p.label, p.kind,
-                     "distributed" if p.distributed else "single machine"])
-    print(render_table(["code", "label", "kind", "deployment"], rows,
-                       title="platform models"))
-    return 0
-
-
 def _cmd_findings(args: argparse.Namespace) -> int:
     from repro.core.findings import render_findings, verify_findings
     from repro.core.runner import Runner
@@ -349,14 +316,6 @@ def _cmd_graph500(args: argparse.Namespace) -> int:
     print(f"  harmonic mean TEPS : {res.harmonic_mean_teps:,.0f}")
     print(f"  validation         : {'passed' if res.all_valid else 'FAILED'}")
     return 0 if res.all_valid else 1
-
-
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.core.suite import BenchmarkSuite
-
-    _, text = BenchmarkSuite(scale=args.scale).table6_ingestion()
-    print(text)
-    return 0
 
 
 def _cmd_tuning(args: argparse.Namespace) -> int:
@@ -486,94 +445,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print()
         print(f"wrote {n} JSONL records to {args.json}")
     return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    with _harness_events(args.events):
-        return _chaos_impl(args)
-
-
-def _chaos_impl(args: argparse.Namespace) -> int:
-    from repro.core.export import export
-    from repro.core.results import ExperimentResult
-    from repro.des.faults import FaultPlan, named_plan
-
-    cluster = das4_cluster(args.workers_per_cell, args.cores)
-    runner = Runner(scale=args.scale)
-
-    baseline = runner.run(
-        RunSpec(args.platform, args.algorithm, args.dataset, cluster)
-    )
-    if not baseline.ok:
-        print(f"baseline run failed: {baseline.status}")
-        print(f"  reason: {baseline.failure_reason}")
-        return 1
-    horizon = baseline.execution_time
-    assert horizon is not None
-
-    # Fault times are fractions of the measured fault-free makespan, so
-    # one invocation works across platforms whose runtimes differ by
-    # orders of magnitude.
-    if args.plan == "seeded":
-        plan = FaultPlan.seeded(
-            args.seed, horizon,
-            num_faults=args.num_faults,
-            num_nodes=cluster.num_workers,
-        )
-    else:
-        plan = named_plan(
-            args.plan,
-            at=args.at * horizon,
-            node=args.node,
-            duration=args.duration * horizon,
-            severity=args.severity,
-        )
-
-    print(
-        f"{args.platform} / {args.algorithm} / {args.dataset} "
-        f"({cluster.num_workers} workers x {cluster.cores_per_worker} cores)"
-    )
-    print(f"fault plan '{plan.name}' ({len(plan)} faults):")
-    for f in plan:
-        window = f" +{f.duration:.1f}s" if f.duration else ""
-        sev = f" x{f.severity:g}" if f.severity != 1.0 else ""
-        print(f"  {f.kind.value:<16s} at t={f.at:.1f}s{window}{sev} "
-              f"(node {f.node})")
-
-    faulted = runner.run(
-        RunSpec(
-            args.platform, args.algorithm, args.dataset, cluster,
-            fault_plan=plan,
-        )
-    )
-    print()
-    print(f"  baseline : {format_seconds(horizon)}")
-    if faulted.ok:
-        assert faulted.execution_time is not None
-        slowdown = faulted.execution_time / horizon if horizon else 1.0
-        print(f"  faulted  : {format_seconds(faulted.execution_time)} "
-              f"({slowdown:.2f}x)")
-    else:
-        print(f"  faulted  : {str(faulted.status).upper()}")
-        print(f"  reason   : {faulted.failure_reason}")
-    acct = faulted.fault_accounting()
-    print(f"  task retries      : {acct['task_retries']}")
-    print(f"  speculative tasks : {acct['speculative_tasks']}")
-    print(f"  job restarts      : {acct['job_restarts']}")
-    print(f"  recovery charged  : {format_seconds(acct['recovery_seconds'])}")
-    print(f"  faults fired      : {acct['faults_injected']}")
-
-    if args.json:
-        exp = ExperimentResult(f"chaos-{plan.name}")
-        exp.add(baseline)
-        exp.add(faulted)
-        n = export(exp, kind="faults", path=args.json)
-        print()
-        print(f"wrote {n} JSONL records to {args.json}")
-    # A crashed faulted cell is the recovery models' intended finding
-    # (budget exhaustion, checkpointing off) — it fails the run only
-    # under --strict, matching chaos-sweep/benchmark semantics.
-    return 1 if args.strict and not faulted.ok else 0
 
 
 def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
@@ -773,7 +644,7 @@ def _sweep_impl(args: argparse.Namespace) -> int:
         print()
         print(f"wrote {n} JSONL records to {args.json}")
     # Crashed/DNF cells are capacity findings; they fail the sweep
-    # only under --strict (same policy as benchmark/chaos).
+    # only under --strict (same policy as benchmark/chaos-sweep).
     return 1 if args.strict and any(not r.ok for r in exp) else 0
 
 
@@ -783,7 +654,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.events is None and not args.demo:
         print(
             "stats: pass --events PATH (written by `sweep`/`benchmark`/"
-            "`chaos --events PATH`) or --demo for a live sample",
+            "`chaos-sweep --events PATH`) or --demo for a live sample",
             file=sys.stderr,
         )
         return 2
@@ -924,48 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("number", help="table number, 1-8")
     tab.set_defaults(func=_cmd_table)
 
-    ds = sub.add_parser("datasets", help="list datasets")
-    ds.add_argument("--load", action="store_true",
-                    help="generate and show mini-scale sizes")
-    ds.set_defaults(func=_cmd_datasets)
-
-    pl = sub.add_parser("platforms", help="list platform models")
-    pl.set_defaults(func=_cmd_platforms)
-
     from repro.des.faults import NAMED_PLANS
-
-    ch = sub.add_parser(
-        "chaos",
-        parents=[unified, cluster],
-        help="inject a deterministic fault plan and compare against "
-        "the fault-free baseline",
-    )
-    ch.add_argument("--platform", required=True, type=_known("platform"),
-                    metavar="PLATFORM")
-    ch.add_argument("--algorithm", required=True, type=_known("algorithm"),
-                    metavar="ALGORITHM")
-    ch.add_argument("--dataset", required=True, type=_known("dataset"),
-                    metavar="DATASET")
-    ch.add_argument("--plan", choices=NAMED_PLANS + ("seeded",),
-                    default="crash",
-                    help="named single-fault plan, or 'seeded' for a "
-                    "reproducible random plan")
-    ch.add_argument("--at", type=float, default=0.5,
-                    help="fault time as a fraction of the baseline "
-                    "makespan (named plans)")
-    ch.add_argument("--duration", type=float, default=0.2,
-                    help="fault window as a fraction of the baseline "
-                    "makespan (windowed plans)")
-    ch.add_argument("--node", type=int, default=0,
-                    help="target worker node (named plans)")
-    ch.add_argument("--severity", type=float, default=None,
-                    help="slowdown factor / remaining-memory fraction "
-                    "(plan-specific default)")
-    ch.add_argument("--num-faults", type=int, default=3,
-                    help="fault count for --plan seeded")
-    # historical default kept: chaos seeded plans were introduced with
-    # seed 42 and published artifacts reference it
-    ch.set_defaults(func=_cmd_chaos, seed=42)
 
     cs = sub.add_parser(
         "chaos-sweep",
@@ -1099,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     st.add_argument("--events", metavar="PATH",
                     help="events JSONL file written by `sweep`/"
-                    "`benchmark`/`chaos --events`")
+                    "`benchmark`/`chaos-sweep --events`")
     st.add_argument("--demo", action="store_true",
                     help="run a small observed sweep live instead of "
                     "reading a file (combine with --events to keep the "
@@ -1122,9 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     g5.add_argument("--edge-factor", type=int, default=16)
     g5.add_argument("--roots", type=int, default=16)
     g5.set_defaults(func=_cmd_graph500)
-
-    ing = sub.add_parser("ingest", help="data ingestion times (Table 6)")
-    ing.set_defaults(func=_cmd_ingest)
 
     tu = sub.add_parser(
         "tuning", help="SPEC-style baseline vs peak (tuned) comparison"

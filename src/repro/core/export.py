@@ -11,8 +11,7 @@ concrete reporting format behind one front door:
   JSON document, a report becomes its JSON payload, a telemetry
   session becomes JSONL, a resource trace becomes CSV); pass
   ``kind=`` explicitly only where one type has several formats
-  (``"sweep-telemetry"`` and ``"faults"`` are alternative views of an
-  experiment);
+  (``"sweep-telemetry"`` is an alternative view of an experiment);
 * :func:`export_records_json` — experiment cells as a JSON document
   (full disclosure: cluster configuration, repetitions, failures);
 * :func:`export_chaos_json` — a chaos-sweep report (baselines,
@@ -223,24 +222,6 @@ def _sweep_telemetry_jsonl(
     return n
 
 
-def _fault_accounting_jsonl(
-    experiment: ExperimentResult, path: str | os.PathLike
-) -> int:
-    """Write per-cell retry/restart/failure accounting as JSON Lines.
-
-    One line per record (including crashed and DNF cells), via
-    :meth:`RunRecord.fault_accounting
-    <repro.core.results.RunRecord.fault_accounting>`.  Returns the
-    number of lines written.
-    """
-    n = 0
-    with open(path, "w") as fh:
-        for record in experiment:
-            fh.write(json.dumps(record.fault_accounting()) + "\n")
-            n += 1
-    return n
-
-
 def export_series_dat(
     x_values: _t.Sequence[float],
     series: dict[str, _t.Sequence[float | None]],
@@ -274,13 +255,12 @@ EXPORT_KINDS: dict[str, tuple[type, _t.Callable[..., _t.Any]]] = {
     "chaos": (ChaosReport, export_chaos_json),
     "telemetry": (telemetry.Telemetry, _telemetry_jsonl),
     "sweep-telemetry": (ExperimentResult, _sweep_telemetry_jsonl),
-    "faults": (ExperimentResult, _fault_accounting_jsonl),
     "trace": (ResourceTrace, export_trace_csv),
 }
 
 #: object type -> default ``kind`` when the caller omits it; every
-#: type has exactly one default (``sweep-telemetry`` and ``faults``
-#: are *alternative* views of an experiment and stay opt-in)
+#: type has exactly one default (``sweep-telemetry`` is an
+#: *alternative* view of an experiment and stays opt-in)
 _DEFAULT_KIND: tuple[tuple[type, str], ...] = (
     (ExperimentResult, "records"),
     (BenchmarkReport, "benchmark"),
@@ -320,8 +300,7 @@ def export(
     telemetry session becomes JSONL, a resource trace becomes CSV.
     Pass ``kind`` explicitly to select an alternative view of the same
     type — ``"sweep-telemetry"`` (all sessions of an experiment as
-    JSONL) or ``"faults"`` (fault-accounting JSONL); the full menu is
-    :data:`EXPORT_KINDS`.
+    JSONL); the full menu is :data:`EXPORT_KINDS`.
 
     Extra keyword ``options`` pass through to the underlying writer
     (e.g. ``extra_counters=...`` for the telemetry kinds,

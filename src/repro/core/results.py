@@ -70,38 +70,6 @@ class RunRecord:
         assert self.execution_time is not None
         return f"{self.execution_time:.1f}s"
 
-    def fault_accounting(self) -> dict[str, _t.Any]:
-        """Retry/restart/failure accounting for this cell (chaos runs).
-
-        Always includes the identity and status columns so crashed and
-        DNF cells — where no :class:`JobResult` survives — still export
-        a complete row.
-        """
-        row: dict[str, _t.Any] = {
-            "platform": self.platform,
-            "algorithm": self.algorithm,
-            "dataset": self.dataset,
-            "status": self.status.value,
-            "execution_time": self.execution_time,
-            "failure_reason": self.failure_reason or None,
-            "fault_plan": None,
-            "task_retries": 0,
-            "speculative_tasks": 0,
-            "job_restarts": 0,
-            "recovery_seconds": 0.0,
-            "faults_injected": 0,
-        }
-        if self.result is not None:
-            row.update(
-                fault_plan=self.result.fault_plan or None,
-                task_retries=self.result.task_retries,
-                speculative_tasks=self.result.speculative_tasks,
-                job_restarts=self.result.job_restarts,
-                recovery_seconds=self.result.recovery_seconds,
-                faults_injected=self.result.faults_injected,
-            )
-        return row
-
 
 @dataclasses.dataclass
 class ExperimentResult:

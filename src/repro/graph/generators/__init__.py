@@ -9,21 +9,17 @@ stand-ins for the six real-world datasets (see
 
 from repro.graph.generators.community import planted_partition
 from repro.graph.generators.dag import citation_dag
-from repro.graph.generators.forest_fire import forest_fire
 from repro.graph.generators.kronecker import graph500_kronecker, rmat_edges
-from repro.graph.generators.powerlaw import configuration_powerlaw, hub_graph
+from repro.graph.generators.powerlaw import hub_graph
 from repro.graph.generators.preferential import preferential_attachment
-from repro.graph.generators.random_graphs import erdos_renyi, watts_strogatz
+from repro.graph.generators.random_graphs import erdos_renyi
 
 __all__ = [
     "citation_dag",
-    "configuration_powerlaw",
     "erdos_renyi",
-    "forest_fire",
     "graph500_kronecker",
     "hub_graph",
     "planted_partition",
     "preferential_attachment",
     "rmat_edges",
-    "watts_strogatz",
 ]

@@ -1,19 +1,14 @@
-"""Forest Fire graph generator (Leskovec, Kleinberg, Faloutsos 2005).
+"""Forest Fire burning (Leskovec, Kleinberg, Faloutsos 2005).
 
-Used twice in this repo: as a generator of densifying power-law graphs
-and as the substrate of the paper's EVO algorithm (Algorithm 5), which
-grows an existing graph by Forest Fire burning.  The core burning
-procedure lives here so both callers share one implementation.
+The substrate of the paper's EVO algorithm (Algorithm 5), which grows
+an existing graph by Forest Fire burning (:mod:`repro.algorithms.evo`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.builder import from_edges
-from repro.graph.graph import Graph
-
-__all__ = ["forest_fire", "burn", "forest_fire_extend"]
+__all__ = ["burn"]
 
 
 def burn(
@@ -68,95 +63,3 @@ def burn(
         frontier = next_frontier
     return order
 
-
-def forest_fire(
-    num_vertices: int,
-    *,
-    p_forward: float = 0.37,
-    p_backward: float = 0.32,
-    seed: int = 1,
-    directed: bool = True,
-    name: str = "forest_fire",
-) -> Graph:
-    """Grow a Forest Fire graph from scratch.
-
-    Each new vertex picks a uniform ambassador, links to it, burns
-    through the existing graph, and links to every burned vertex.
-    """
-    rng = np.random.default_rng(seed)
-    out_adj: list[list[int]] = [[] for _ in range(num_vertices)]
-    in_adj: list[list[int]] = [[] for _ in range(num_vertices)]
-    edges: list[tuple[int, int]] = []
-    for v in range(1, num_vertices):
-        ambassador = int(rng.integers(0, v))
-        targets = [ambassador] + burn(
-            out_adj,
-            in_adj,
-            ambassador,
-            p_forward=p_forward,
-            p_backward=p_backward,
-            rng=rng,
-        )
-        for w in targets:
-            edges.append((v, w))
-            out_adj[v].append(w)
-            in_adj[w].append(v)
-    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return from_edges(num_vertices, arr, directed=directed, name=name)
-
-
-def forest_fire_extend(
-    graph: Graph,
-    num_new_vertices: int,
-    *,
-    p_forward: float = 0.5,
-    p_backward: float = 0.5,
-    seed: int = 1,
-    max_burn: int | None = 1000,
-) -> tuple[Graph, int]:
-    """Grow ``graph`` by ``num_new_vertices`` Forest Fire vertices.
-
-    This is the operational core of the paper's EVO algorithm
-    (Algorithm 5, forward/backward burning probability 0.5).  Returns
-    the evolved graph and the number of edges created.
-    """
-    n0 = graph.num_vertices
-    n1 = n0 + num_new_vertices
-    out_adj: list[list[int]] = [[] for _ in range(n1)]
-    in_adj: list[list[int]] = [[] for _ in range(n1)]
-    for v in range(n0):
-        out_adj[v] = graph.neighbors(v).tolist()
-        if graph.directed:
-            in_adj[v] = graph.in_neighbors(v).tolist()
-        else:
-            in_adj[v] = out_adj[v]
-    rng = np.random.default_rng(seed)
-    new_edges: list[tuple[int, int]] = []
-    for v in range(n0, n1):
-        ambassador = int(rng.integers(0, v))
-        targets = [ambassador] + burn(
-            out_adj,
-            in_adj,
-            ambassador,
-            p_forward=p_forward,
-            p_backward=p_backward,
-            rng=rng,
-            max_nodes=max_burn,
-        )
-        for w in targets:
-            new_edges.append((v, w))
-            out_adj[v].append(w)
-            in_adj[w].append(v)
-    src = np.repeat(
-        np.arange(n0, dtype=np.int64), np.diff(graph.out_indptr)
-    )
-    old = np.column_stack([src, graph.out_indices.astype(np.int64)])
-    if not graph.directed:
-        keep = old[:, 0] <= old[:, 1]
-        old = old[keep]
-    new = np.asarray(new_edges, dtype=np.int64).reshape(-1, 2)
-    combined = np.vstack([old, new])
-    evolved = from_edges(
-        n1, combined, directed=graph.directed, name=f"{graph.name}(evolved)"
-    )
-    return evolved, len(new_edges)

@@ -1,12 +1,9 @@
-"""Power-law degree-sequence generators.
+"""Hub-dominated graphs.
 
-:func:`configuration_powerlaw` draws a truncated discrete power-law
-degree sequence and wires it with a configuration-model pass (duplicate
-and self-loop arcs are dropped by the builder).  :func:`hub_graph`
-plants a handful of extreme hubs over a sparse background — the
-structural fingerprint of the paper's WikiTalk dataset (discussion
-pages: a few admins talk to millions of users), which is what makes
-Giraph's STATS run OOM on it (Section 4.1.2).
+:func:`hub_graph` plants a handful of extreme hubs over a sparse
+background — the structural fingerprint of the paper's WikiTalk
+dataset (discussion pages: a few admins talk to millions of users),
+which is what makes Giraph's STATS run OOM on it (Section 4.1.2).
 """
 
 from __future__ import annotations
@@ -16,52 +13,7 @@ import numpy as np
 from repro.graph.builder import from_edges
 from repro.graph.graph import Graph
 
-__all__ = ["powerlaw_degree_sequence", "configuration_powerlaw", "hub_graph"]
-
-
-def powerlaw_degree_sequence(
-    num_vertices: int,
-    exponent: float,
-    *,
-    d_min: int = 1,
-    d_max: int | None = None,
-    seed: int = 1,
-) -> np.ndarray:
-    """Sample a discrete power-law degree sequence P(d) ~ d^-exponent."""
-    if exponent <= 1.0:
-        raise ValueError("exponent must be > 1")
-    if d_max is None:
-        d_max = max(int(round(num_vertices**0.5)), d_min + 1)
-    rng = np.random.default_rng(seed)
-    support = np.arange(d_min, d_max + 1, dtype=np.float64)
-    weights = support**-exponent
-    weights /= weights.sum()
-    return rng.choice(
-        support.astype(np.int64), size=num_vertices, p=weights
-    )
-
-
-def configuration_powerlaw(
-    num_vertices: int,
-    exponent: float = 2.3,
-    *,
-    d_min: int = 1,
-    d_max: int | None = None,
-    directed: bool = False,
-    seed: int = 1,
-    name: str = "powerlaw",
-) -> Graph:
-    """Configuration-model graph over a power-law degree sequence."""
-    rng = np.random.default_rng(seed + 7)
-    deg = powerlaw_degree_sequence(
-        num_vertices, exponent, d_min=d_min, d_max=d_max, seed=seed
-    )
-    stubs = np.repeat(np.arange(num_vertices, dtype=np.int64), deg)
-    rng.shuffle(stubs)
-    if len(stubs) % 2:
-        stubs = stubs[:-1]
-    pairs = stubs.reshape(-1, 2)
-    return from_edges(num_vertices, pairs, directed=directed, name=name)
+__all__ = ["hub_graph"]
 
 
 def hub_graph(

@@ -1,4 +1,4 @@
-"""Classic random graphs: Erdős–Rényi G(n, m) and Watts–Strogatz."""
+"""Classic random graphs: Erdős–Rényi G(n, m)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 from repro.graph.builder import from_edges
 from repro.graph.graph import Graph
 
-__all__ = ["erdos_renyi", "watts_strogatz"]
+__all__ = ["erdos_renyi"]
 
 
 def erdos_renyi(
@@ -39,30 +39,3 @@ def erdos_renyi(
     edges = np.column_stack([src[first], dst[first]])
     return from_edges(num_vertices, edges, directed=directed, name=name)
 
-
-def watts_strogatz(
-    num_vertices: int,
-    k: int,
-    p_rewire: float,
-    *,
-    seed: int = 1,
-    name: str = "watts_strogatz",
-) -> Graph:
-    """Small-world ring lattice with rewiring (always undirected)."""
-    if k % 2 or k < 2:
-        raise ValueError("k must be even and >= 2")
-    if k >= num_vertices:
-        raise ValueError("k must be < num_vertices")
-    rng = np.random.default_rng(seed)
-    ids = np.arange(num_vertices, dtype=np.int64)
-    chunks = []
-    for offset in range(1, k // 2 + 1):
-        dst = (ids + offset) % num_vertices
-        rewire = rng.random(num_vertices) < p_rewire
-        dst = dst.copy()
-        dst[rewire] = rng.integers(
-            0, num_vertices, size=int(rewire.sum()), dtype=np.int64
-        )
-        chunks.append(np.column_stack([ids, dst]))
-    edges = np.vstack(chunks)
-    return from_edges(num_vertices, edges, directed=False, name=name)

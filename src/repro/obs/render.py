@@ -2,7 +2,7 @@
 
 Turns a live :class:`~repro.obs.Observability` session — or an events
 JSONL file written by one (``--events PATH`` on ``sweep`` /
-``benchmark`` / ``chaos``) — into the post-hoc summary table: phase
+``benchmark`` / ``chaos-sweep``) — into the post-hoc summary table: phase
 wall histograms with p50/p90/p99, counters, gauges (worker
 utilization, cache hit rates), and event counts per kind.
 

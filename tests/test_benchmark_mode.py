@@ -504,9 +504,9 @@ class TestBenchmarkCli:
     def test_global_scale_accepts_named_factors(self, capsys):
         from repro.cli import build_parser, main
 
-        args = build_parser().parse_args(["--scale", "tiny", "datasets"])
+        args = build_parser().parse_args(["--scale", "tiny", "table", "2"])
         assert args.scale == 0.125 and type(args.scale) is float
-        assert main(["--scale", "tiny", "datasets", "--load"]) == 0
+        assert main(["--scale", "tiny", "table", "2"]) == 0
         named = capsys.readouterr().out
-        assert main(["--scale", "0.125", "datasets", "--load"]) == 0
+        assert main(["--scale", "0.125", "table", "2"]) == 0
         assert capsys.readouterr().out == named

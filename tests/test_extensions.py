@@ -207,3 +207,25 @@ class TestOnPlatforms:
         r = get_platform(platform).run(name, random_graph, small_cluster)
         assert r.execution_time > 0
         assert r.supersteps >= 1
+
+
+def test_paper_platform_ordering_holds_on_kgs():
+    """Every extension completes on KGS on four platforms, and Hadoop
+    stays slower than Giraph and Stratosphere, as for the paper's five
+    algorithms."""
+    from repro.core.results import RunStatus
+    from repro.core.runner import Runner
+    from repro.core.spec import SweepSpec
+
+    platforms = ("hadoop", "stratosphere", "giraph", "graphlab")
+    exp = Runner().run_grid(SweepSpec.make(
+        "extensions", platforms=platforms, algorithms=EXTENSION_NAMES,
+        datasets=("kgs",),
+    ))
+    for algo in EXTENSION_NAMES:
+        recs = {p: exp.get(p, algo, "kgs") for p in platforms}
+        for plat, rec in recs.items():
+            assert rec.status is RunStatus.OK, (plat, algo)
+        assert recs["hadoop"].execution_time > recs["giraph"].execution_time
+        assert (recs["hadoop"].execution_time
+                > recs["stratosphere"].execution_time)

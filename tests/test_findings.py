@@ -67,5 +67,5 @@ class TestCliSubcommands:
     def test_ingest(self, capsys):
         from repro.cli import main
 
-        assert main(["ingest"]) == 0
+        assert main(["table", "6"]) == 0
         assert "Neo4j" in capsys.readouterr().out

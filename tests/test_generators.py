@@ -5,17 +5,13 @@ import pytest
 
 from repro.graph.generators import (
     citation_dag,
-    configuration_powerlaw,
     erdos_renyi,
-    forest_fire,
     graph500_kronecker,
     hub_graph,
     planted_partition,
     preferential_attachment,
     rmat_edges,
-    watts_strogatz,
 )
-from repro.graph.generators.forest_fire import forest_fire_extend
 
 
 class TestKronecker:
@@ -62,37 +58,6 @@ class TestKronecker:
         assert g.directed
 
 
-class TestForestFire:
-    def test_sizes(self):
-        g = forest_fire(200, seed=1)
-        assert g.num_vertices == 200
-        assert g.num_edges >= 199  # at least a tree
-
-    def test_deterministic(self):
-        assert forest_fire(100, seed=3) == forest_fire(100, seed=3)
-
-    def test_weakly_connected(self):
-        import networkx as nx
-
-        g = forest_fire(150, seed=2)
-        assert nx.is_weakly_connected(g.to_networkx())
-
-    def test_densification_with_higher_p(self):
-        sparse = forest_fire(200, p_forward=0.1, seed=4)
-        dense = forest_fire(200, p_forward=0.5, seed=4)
-        assert dense.num_edges > sparse.num_edges
-
-    def test_extend_grows_graph(self, random_graph):
-        evolved, new_edges = forest_fire_extend(random_graph, 20, seed=5)
-        assert evolved.num_vertices == random_graph.num_vertices + 20
-        assert new_edges >= 20
-        assert evolved.num_edges >= random_graph.num_edges
-
-    def test_extend_preserves_directivity(self, random_digraph):
-        evolved, _ = forest_fire_extend(random_digraph, 5, seed=6)
-        assert evolved.directed
-
-
 class TestPreferential:
     def test_sizes(self):
         g = preferential_attachment(500, 3, seed=1)
@@ -127,24 +92,6 @@ class TestRandomGraphs:
         g = erdos_renyi(100, 300, directed=True, seed=1)
         assert g.directed and g.num_edges == 300
 
-    def test_ws_validation(self):
-        with pytest.raises(ValueError):
-            watts_strogatz(10, 3, 0.1)  # odd k
-        with pytest.raises(ValueError):
-            watts_strogatz(4, 6, 0.1)  # k >= n
-
-    def test_ws_zero_rewire_is_lattice(self):
-        g = watts_strogatz(20, 4, 0.0, seed=1)
-        deg = np.asarray(g.degree())
-        assert np.all(deg == 4)
-
-    def test_ws_clustering_drops_with_rewiring(self):
-        from repro.graph.properties import mean_local_clustering
-
-        ordered = watts_strogatz(300, 6, 0.0, seed=2)
-        chaotic = watts_strogatz(300, 6, 1.0, seed=2)
-        assert mean_local_clustering(ordered) > mean_local_clustering(chaotic)
-
 
 class TestCommunityAndHubs:
     def test_planted_partition_sizes(self):
@@ -173,17 +120,6 @@ class TestCommunityAndHubs:
     def test_hub_graph_validation(self):
         with pytest.raises(ValueError):
             hub_graph(5, 10, 3)
-
-    def test_configuration_powerlaw(self):
-        g = configuration_powerlaw(500, 2.2, seed=1)
-        deg = np.asarray(g.degree())
-        assert deg.max() > 3 * max(deg.mean(), 1)
-
-    def test_powerlaw_exponent_validation(self):
-        from repro.graph.generators.powerlaw import powerlaw_degree_sequence
-
-        with pytest.raises(ValueError):
-            powerlaw_degree_sequence(10, 0.5)
 
 
 class TestCitationDag:

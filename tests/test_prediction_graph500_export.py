@@ -45,18 +45,20 @@ class TestWorkloadFeatures:
         assert f.workers == 20
 
 
+#: the per-iteration workloads (BFS/CONN/CD share the
+#: one-job-per-iteration structure the features see) on five datasets
+TRAIN_CELLS = [
+    (a, d)
+    for a in ("bfs", "conn", "cd")
+    for d in ("amazon", "wikitalk", "kgs", "dotaleague", "synth")
+]
+
+
 @pytest.mark.slow
 class TestBoundaryModel:
     @pytest.fixture(scope="class")
     def hadoop_model(self):
-        # Train on the per-iteration MapReduce workloads (BFS/CONN/CD
-        # share the one-job-per-iteration structure the features see).
-        cells = [
-            (a, d)
-            for a in ("bfs", "conn", "cd")
-            for d in ("amazon", "wikitalk", "kgs", "dotaleague", "synth")
-        ]
-        train = collect_training_data("hadoop", cells)
+        train = collect_training_data("hadoop", TRAIN_CELLS)
         return BoundaryModel("hadoop").fit(train), train
 
     def test_needs_two_samples(self):
@@ -81,14 +83,26 @@ class TestBoundaryModel:
         for feats, measured in train:
             assert model.predict_worst(feats) >= measured * 0.999
 
-    def test_heldout_prediction_within_factor_3(self, hadoop_model):
-        model, _ = hadoop_model
+    @pytest.fixture(scope="class")
+    def heldout(self, hadoop_model):
+        """(actual, predicted, boundary) per (platform, algorithm) on
+        the held-out citation dataset."""
         cluster = das4_cluster()
-        for algo, ds in (("bfs", "citation"), ("conn", "citation")):
-            g = load_dataset(ds)
-            actual = get_platform("hadoop").run(algo, g, cluster).execution_time
-            predicted = model.predict(features_for(algo, g, cluster))
-            assert actual / 3 <= predicted <= actual * 3, (algo, ds)
+        g = load_dataset("citation")
+        out = {}
+        for name in ("hadoop", "stratosphere", "giraph"):
+            model = hadoop_model[0] if name == "hadoop" else BoundaryModel(
+                name).fit(collect_training_data(name, TRAIN_CELLS))
+            for algo in ("bfs", "conn", "cd"):
+                actual = get_platform(name).run(algo, g, cluster).execution_time
+                feats = features_for(algo, g, cluster)
+                out[name, algo] = (actual, model.predict(feats),
+                                   model.predict_worst(feats))
+        return out
+
+    def test_heldout_prediction_within_factor_3(self, heldout):
+        for cell, (actual, predicted, _) in heldout.items():
+            assert actual / 3 <= predicted <= actual * 3, cell
 
     def test_uncovered_workload_class_violates_boundary(self):
         """EVO runs two MapReduce jobs per iteration — a structure the
@@ -104,14 +118,11 @@ class TestBoundaryModel:
         actual = get_platform("hadoop").run("evo", g, cluster).execution_time
         assert model.predict_worst(features_for("evo", g, cluster)) < actual
 
-    def test_boundary_covers_heldout_same_class(self, hadoop_model):
-        """The boundary holds on held-out workloads of trained classes."""
-        model, _ = hadoop_model
-        cluster = das4_cluster()
-        g = load_dataset("citation")
-        actual = get_platform("hadoop").run("bfs", g, cluster).execution_time
-        worst = model.predict_worst(features_for("bfs", g, cluster))
-        assert worst >= actual * 0.8
+    def test_boundary_covers_heldout_same_class(self, heldout):
+        """The boundary holds on held-out workloads of trained classes
+        (10 % slack)."""
+        for cell, (actual, _, worst) in heldout.items():
+            assert worst >= actual * 0.9, cell
 
     def test_describe(self, hadoop_model):
         model, _ = hadoop_model
@@ -142,6 +153,15 @@ class TestGraph500:
     def test_harmonic_mean_below_max(self):
         res = run_graph500(scale=8, edge_factor=8, num_roots=4, seed=2)
         assert res.harmonic_mean_teps <= max(res.teps) + 1e-9
+
+    def test_scale13_run_keeps_a_vectorized_teps_floor(self):
+        """Kronecker scale 13, 8 roots: every tree validates, the numpy
+        BFS sustains over 1e5 wall-clock TEPS, and the harmonic mean is
+        at most the arithmetic mean (the slowest root dominates it)."""
+        res = run_graph500(scale=13, edge_factor=16, num_roots=8, seed=5)
+        assert res.all_valid
+        assert res.harmonic_mean_teps > 1e5
+        assert res.harmonic_mean_teps <= np.mean(res.teps) + 1e-9
 
     def test_parent_tree_valid(self, random_graph):
         parent = _bfs_parent_tree(random_graph, 0)

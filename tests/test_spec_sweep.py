@@ -38,6 +38,15 @@ GRID = SweepSpec.make(
 )
 
 
+#: the ``JobResult`` fields that account for injected faults
+FAULT_FIELDS = ("fault_plan", "task_retries", "speculative_tasks",
+                "job_restarts", "recovery_seconds", "faults_injected")
+
+
+def _faults(record) -> list | None:
+    return record.result and [getattr(record.result, f) for f in FAULT_FIELDS]
+
+
 def records_equal(a, b) -> bool:
     """Bit-identity of the fields the paper reports."""
     return (
@@ -48,7 +57,7 @@ def records_equal(a, b) -> bool:
         and a.execution_time == b.execution_time
         and a.repetition_times == b.repetition_times
         and a.failure_reason == b.failure_reason
-        and a.fault_accounting() == b.fault_accounting()
+        and _faults(a) == _faults(b)
     )
 
 

@@ -101,13 +101,13 @@ class TestCli:
     def test_datasets_command(self, capsys):
         from repro.cli import main
 
-        assert main(["datasets"]) == 0
+        assert main(["list", "datasets"]) == 0
         assert "friendster" in capsys.readouterr().out
 
     def test_platforms_command(self, capsys):
         from repro.cli import main
 
-        assert main(["platforms"]) == 0
+        assert main(["list", "platforms"]) == 0
         out = capsys.readouterr().out
         assert "graphlab_mp" in out and "single machine" in out
 

@@ -76,3 +76,15 @@ class TestTuningStudy:
         ).run()
         assert data["giraph"] == (None, None)
         assert "FAIL" in text
+
+    def test_friendster_tuning_changes_feasibility(self):
+        """BFS on Friendster: Giraph's baseline crashes (the paper's
+        cell) and its combiner-tuned peak completes; Neo4j runs it in
+        neither configuration."""
+        data, _ = TuningStudy(
+            algorithm="bfs", dataset="friendster",
+            platforms=("giraph", "neo4j"),
+        ).run()
+        base, peak = data["giraph"]
+        assert base is None and peak is not None
+        assert data["neo4j"] == (None, None)
