@@ -23,7 +23,9 @@ Verdicts, per workload:
   share above the base's, FAILs;
 * a traced layer self-time the base spends at least ``MIN_LAYER_S`` in
   FAILs when the head takes more than ``WALL_TOLERANCE`` times as long;
-  counts and the other per-layer metrics are printed, not gated.
+  each wall is printed with its call count on both sides (a wall that
+  moves with its calls is more work, not slower work); counts and the
+  other per-layer metrics are printed, not gated.
 
 When ``perfbench/`` or ``BENCHMARK.json`` differ between the two sides
 the benchmark itself changed: the script says so and exits 0 without
@@ -91,9 +93,26 @@ def _end_to_end(metric: dict, base: list[float],
     ))
 
 
-def _layer(metric: dict, base: float, head: float) -> Verdict:
+def _calls_of(wall: str, counts: set[str]) -> str | None:
+    """The count metric saying how many calls the traced wall ``wall``
+    covers, if ``counts`` has one: ``kernels.ldg_assign.s`` →
+    ``kernels.ldg_assign.calls``, ``datasets.load_s`` →
+    ``datasets.loads``, ``graph.text_size_s`` →
+    ``graph.text_size_calls``, ``charge.self_s`` → ``charge.calls``."""
+    stem, group = wall[:-2], wall.rsplit(".", 1)[0]
+    for name in (f"{stem}.calls", f"{stem}s", f"{stem}_calls",
+                 f"{group}.calls"):
+        if name in counts:
+            return name
+    return None
+
+
+def _layer(metric: dict, base: float, head: float,
+           calls: tuple[float, float] | None = None) -> Verdict:
     name = metric["name"]
     detail = f"base {base:.4g} head {head:.4g} {metric['unit']}"
+    if calls is not None:
+        detail += f", calls {calls[0]:g} vs {calls[1]:g}"
     gated = (metric["unit"] == "s" and name not in NOT_LAYERS
              and base >= MIN_LAYER_S)
     if not gated:
@@ -139,12 +158,19 @@ def judge(bench: dict, base: list[dict], head: list[dict],
             [run["metrics"][name]["value"] for run in base],
             [run["metrics"][name]["value"] for run in head],
         ))
+
+    def traced(name: str) -> tuple[float, float]:
+        return (base_traced["metrics"][name]["value"],
+                head_traced["metrics"][name]["value"])
+
+    counts = {m["name"] for m in bench["per_layer"] if m["unit"] == "count"}
     for metric in bench["per_layer"]:
-        name = metric["name"]
-        b = base_traced["metrics"][name]["value"]
-        h = head_traced["metrics"][name]["value"]
-        if b or h:
-            verdicts.append(_layer(metric, b, h))
+        b, h = traced(metric["name"])
+        if not (b or h):
+            continue
+        calls = (_calls_of(metric["name"], counts)
+                 if metric["unit"] == "s" else None)
+        verdicts.append(_layer(metric, b, h, calls and traced(calls)))
     return verdicts
 
 

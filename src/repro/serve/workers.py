@@ -3,15 +3,15 @@
 A miss runs :meth:`ApiService.predict_batch
 <repro.api.ApiService.predict_batch>`, which is pure Python and holds
 the GIL for as long as its cells take (a GraphLab cell's greedy
-partitioning alone takes hundreds of milliseconds).  Run on a thread
-of the server process, that stalls every warm hit queued behind it.
-So the server owns ``size`` worker processes, forked once when it
-starts: each rebuilds the server's runner through the sweep
-executor's initializer (:func:`repro.core.sweep._init_worker`), keeps
-its trace cache and partition contexts for its whole life, and
-answers one batch at a time over a pipe.  The event loop watches each
-pipe with ``add_reader``, so the server process runs no thread for
-this.
+partitioning alone takes about 60 ms on kgs at scale 1.0, for each
+cluster size).  Run on a thread of the server process, that stalls
+every warm hit queued behind it.  So the server owns ``size`` worker
+processes, forked once when it starts: each rebuilds the server's
+runner through the sweep executor's initializer
+(:func:`repro.core.sweep._init_worker`), keeps its trace cache and
+partition contexts for its whole life, and answers one batch at a time
+over a pipe.  The event loop watches each pipe with ``add_reader``, so
+the server process runs no thread for this.
 
 Every reply carries, besides the batch's outcomes, the worker's
 trace-cache counter deltas, step-cost memo deltas and observability
@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
 import signal
+import stat
 import typing as _t
 from multiprocessing.connection import Connection
 
@@ -54,18 +56,44 @@ class WorkerDied(RuntimeError):
     """A worker process exited before it answered its batch."""
 
 
-def _worker_main(
-    conn: Connection, config: _WorkerConfig, inherited: list[Connection]
-) -> None:
+def _drop_inherited_sockets(conn: Connection) -> None:
+    """Release every socket this forked worker inherited, except its
+    own pipe end ``conn`` and stdio.
+
+    That is the server's ends of every worker pipe, this worker's own
+    included (a duplex pipe is a socket pair; held here, they would keep
+    a worker from ever reading EOF), the event loop's self-pipe, and —
+    for a replacement forked while the server runs — the listening
+    socket and every open client connection.  Each is pointed at
+    ``/dev/null`` rather than closed: the forked copies of the server's
+    socket objects still name these descriptors, and a stray close or
+    signal wake-up must not reach a file that reuses the number.
+    """
+    if not os.path.isdir("/dev/fd"):
+        return  # no fork on such a platform: spawned, nothing inherited
+    keep = conn.fileno()
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir("/dev/fd"):
+            fd = int(name)
+            if fd <= 2 or fd in (keep, devnull):
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:  # the listing's own, now closed, descriptor
+                pass
+    finally:
+        os.close(devnull)
+
+
+def _worker_main(conn: Connection, config: _WorkerConfig) -> None:
     """One worker's life: answer batches until the server closes the
     pipe."""
     # Shutdown belongs to the server: a terminal's Ctrl-C reaches the
     # whole process group, and a worker exits when its pipe closes.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # The server's ends of every pipe, this worker's own included: held
-    # here, they would keep a worker from ever reading EOF.
-    for other in inherited:
-        other.close()
+    _drop_inherited_sockets(conn)
     _init_worker(config)
     while True:
         try:
@@ -135,10 +163,9 @@ class WorkerPool:
 
     def _spawn(self, index: int) -> None:
         conn, child = self._ctx.Pipe()
-        inherited = [c for c in self._conns if c is not None] + [conn]
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child, _worker_config(self.runner), inherited),
+            args=(child, _worker_config(self.runner)),
             name=f"graphbench-serve-worker-{index}",
             daemon=True,
         )

@@ -269,12 +269,14 @@ def test_scatter_min_bit_identical(n, m):
     assert _bytes_equal(got, ref)
 
 
-def _ldg_args(g, num_parts, slack=1.05):
-    """The kernel arguments :func:`greedy_partition` builds for ``g``."""
+def _ldg_args(g, num_parts, slack=1.05, order=None):
+    """The kernel arguments :func:`greedy_partition` builds for ``g``
+    (streaming in ``order`` when given)."""
     degree = np.asarray(g.degree(), dtype=np.int64)
     weight = np.maximum(degree, 1).astype(np.float64)
     capacity = slack * float(weight.sum()) / num_parts
-    order = np.argsort(-degree, kind="stable")
+    if order is None:
+        order = np.argsort(-degree, kind="stable")
     return (
         g.out_indptr, g.out_indices, g.in_indptr, g.in_indices,
         g.directed, order, weight, capacity, num_parts,
@@ -315,7 +317,106 @@ def test_ldg_assign_score_tie_goes_to_least_loaded(neighbor_order):
     assert _bytes_equal(dispatch.ldg_assign(*args), expected)
 
 
-@pytest.mark.parametrize("dataset", ["amazon", "kgs"])
+@st.composite
+def dense_graphs(draw):
+    """A graph of 40+ vertices, most with (out+in) degree well above
+    ``dispatch._DENSE_DEGREE``, a few sparse ones, reciprocal arcs,
+    multi-arcs and (directed only: undirected CSR has none) self-loops;
+    with an arbitrary stream order, or one with the dense vertices
+    first."""
+    n = draw(st.integers(min_value=40, max_value=150))
+    directed = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arcs = rng.integers(0, n, size=(n * draw(st.integers(24, 40)), 2))
+    tail = draw(st.integers(min_value=0, max_value=5))  # sparse vertices
+    edges = np.concatenate([
+        arcs,
+        arcs[: len(arcs) // 8, ::-1],  # reciprocal arcs
+        arcs[: len(arcs) // 16],  # multi-arcs
+        np.repeat(rng.integers(0, n, size=(4, 1)), 2, axis=1),  # loops
+        np.column_stack([
+            rng.integers(0, n, size=3 * tail),
+            np.repeat(np.arange(n, n + tail), 3),
+        ]),
+    ])
+    g = from_edges(
+        n + tail, edges, directed=directed, dedupe=False,
+        allow_self_loops=directed, name="dense",
+    )
+    order = np.array(draw(st.permutations(range(n + tail))))
+    if draw(st.booleans()):
+        # dense vertices first: the block path runs over 64 positions
+        degree = g.out_degree() + (g.in_degree() if directed else 0)
+        sparse = degree[order] < dispatch._DENSE_DEGREE
+        order = order[np.argsort(sparse, kind="stable")]
+    return g, order
+
+
+@given(
+    graph_order=dense_graphs(),
+    num_parts=st.integers(min_value=1, max_value=64),
+    slack=st.sampled_from([0.5, 1.05, 4.0]),
+    unit_weights=st.booleans(),
+)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_ldg_assign_block_path_matches_lexsort_oracle(
+    graph_order, num_parts, slack, unit_weights
+):
+    # Leading dense positions go in blocks of dispatch._BLOCK (past 64
+    # of them, later blocks read the parts of earlier ones); the rest,
+    # dense ones included, go through the sparse loop.  Unit weights
+    # make equal loads, hence exact score ties, common.
+    g, order = graph_order
+    args = _ldg_args(g, num_parts, slack, order=order)
+    if unit_weights:
+        n = g.num_vertices
+        args = (*args[:6], np.ones(n), slack * n / num_parts, num_parts)
+    assert _bytes_equal(dispatch.ldg_assign(*args), _ldg_lexsort_oracle(*args))
+
+
+@pytest.mark.parametrize(
+    "x3_weight, t_neighbors, t_part",
+    [
+        # loads 8 and 4: t scores 3 * (1 - 8/16) on part 0 and (1 + 1)
+        # * (1 - 4/16) on part 1, a tie the lighter part 1 wins only if
+        # t counts u
+        (4.0, (0, 1, 2, 3, "u"), 1),
+        # loads 4 and 4: 2 * (1 - 4/16) on either part, a tie part 0
+        # wins; u's part 1 is scored first, so the walk must not prune
+        # part 0 at a score equal to the best
+        (0.0, (0, 1, 2, "u"), 0),
+    ],
+    ids=["tie-made-by-u", "tie-at-the-prune"],
+)
+def test_ldg_assign_in_block_neighbor_decides_a_score_tie(
+    x3_weight, t_neighbors, t_part
+):
+    # Every vertex gets _DENSE_DEGREE multi-edges to a filler vertex
+    # streamed last, so all positions are dense and the filler adds no
+    # affinity.  Block 1: x1 opens part 0 and y part 1 (no placed
+    # neighbors), x2 and x3 follow their neighbor x1, zero-weight
+    # padding fills the block.  Block 2: u follows its neighbor y, then
+    # t, whose neighbor u was placed earlier in t's own block.
+    block, dense = dispatch._BLOCK, dispatch._DENSE_DEGREE
+    x1, y, x2, x3 = range(4)
+    u, t, filler = block, block + 1, block + 2
+    weight = np.zeros(filler + 1)
+    weight[[x1, y, x2, x3, u]] = [2.0, 1.0, 2.0, x3_weight, 3.0]
+    neighbors = [u if v == "u" else v for v in t_neighbors]
+    edges = [(x1, x2), (x1, x3), (y, u)] + [(v, t) for v in neighbors]
+    edges += [(v, filler) for v in range(filler) for _ in range(dense)]
+    g = from_edges(filler + 1, edges, directed=False, dedupe=False)
+    args = (
+        g.out_indptr, g.out_indices, g.in_indptr, g.in_indices, False,
+        np.arange(filler + 1), weight, 16.0, 2,
+    )
+    expected = _ldg_lexsort_oracle(*args)
+    assert expected[[x1, y, x2, x3, u, t]].tolist() == [0, 1, 0, 0, 1, t_part]
+    assert _bytes_equal(dispatch.ldg_assign(*args), expected)
+
+
+@pytest.mark.parametrize("dataset", ["amazon", "citation", "dotaleague", "kgs"])
 @pytest.mark.parametrize("num_parts", [20, 50])
 def test_ldg_assign_matches_lexsort_oracle_on_datasets(dataset, num_parts):
     from repro.datasets.registry import load_dataset

@@ -148,6 +148,25 @@ class TestPerfAB:
         assert verdicts["traced_wall_s"] == "-"
         assert _judge(head_traced=_run(layer=2.0))["charge.self_s"] == "PASS"
 
+    def test_layer_walls_print_their_call_counts(self):
+        mod = _load("perf_ab")
+        base, head = _run(), _run(layer=0.5)
+        base["metrics"]["kernels.ldg_assign.calls"]["value"] = 21
+        head["metrics"]["kernels.ldg_assign.calls"]["value"] = 20
+        details = {
+            v.subject: v.detail
+            for v in mod.judge(_bench(), [_run()] * mod.PAIRS,
+                               [_run()] * mod.PAIRS, base, head)
+        }
+        assert details["kernels.ldg_assign.s"].startswith(
+            "base 0.1 head 0.05 s, calls 21 vs 20 "
+        )
+        assert "calls 0.1 vs 0.05" in details["datasets.load_s"]
+        assert "calls 0.1 vs 0.05" in details["charge.self_s"]
+        # a wall with no count of its own, and a count, print no calls
+        assert "calls" not in details["traced_wall_s"]
+        assert "calls" not in details["charge.calls"]
+
     def test_layer_below_ten_ms_is_not_gated(self):
         # base 5 ms: too short to time once, so 10x reads "-"
         verdicts = _judge(base_traced=_run(layer=0.05),

@@ -380,6 +380,41 @@ class TestBatchFailureIsolation:
         assert json.loads(body)["cached"] is False
         assert canonical_json(json.loads(body)["result"]) == _direct(HOLD)
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="reads /proc/<pid>/fd"
+    )
+    def test_a_replacement_worker_keeps_no_server_socket(self, held):
+        async def scenario(server):
+            [pid] = server.pool.pids()
+            hold = await _hold_worker(server)
+            os.kill(pid, signal.SIGKILL)
+            # the replacement forks while the server listens and HOLD's
+            # client connection is open
+            await asyncio.wait_for(hold, timeout=30)
+            held()
+            # answered, so the replacement is past its start-up
+            status, _, _ = await _request(
+                server.port, "POST", "/v1/predict", HOLD
+            )
+            [new_pid] = server.pool.pids()
+            return status, _sockets(new_pid)
+
+        status, sockets = _with_server(scenario)
+        assert status == 200
+        assert sockets == 1  # its own pipe end
+
+
+def _sockets(pid: int) -> int:
+    """How many of process ``pid``'s descriptors are sockets."""
+    count = 0
+    for name in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            link = os.readlink(f"/proc/{pid}/fd/{name}")
+        except FileNotFoundError:  # closed since the listing
+            continue
+        count += link.startswith("socket:")
+    return count
+
 
 def _hold_gil(seconds: float) -> None:
     """Compute for ``seconds`` in long C calls, each holding the GIL."""
